@@ -7,18 +7,26 @@
 // may be TPG for one module and SA for another (a BILBO, role TpgSa); only
 // a register that is TPG and SA *for the same module* must be a CBILBO.
 //
-// `solve` runs a per-module branch-and-bound dynamic program over register
-// role-state vectors (3 bits per register: tpg, sa, cbilbo).  A greedy
-// completion seeds the incumbent; since role flags only accumulate and the
-// area model is (normally) monotone in them, a partial state's own area is
-// an admissible lower bound and strictly-worse states are cut without
-// losing exactness.  If the surviving frontier still exceeds a cap — or
-// the design has more registers than `exact_max_regs`, which makes every
-// DP state itself large — the allocator falls back to the greedy solver,
-// which streams the embedding space without materializing it.  Objective
-// is lexicographic: minimal extra area, then fewest CBILBOs, then fewest
-// modified registers.
+// `solve` is an exact dynamic program over a path decomposition of the
+// module-register incidence graph.  Modules are visited in a greedy
+// vertex-separation order (next: the module that opens the fewest new
+// registers minus the registers it is the last user of), and a register is
+// live from its first to its last module in that order.  A DP state is the
+// role flags of the live registers only (3 bits each, packed into words)
+// plus the objective tuple accumulated over every register; once a
+// register's last module is done its flags leave the key, so states that
+// differ only on registers no later module touches merge, keeping the
+// smaller tuple.  A greedy completion seeds a branch-and-bound incumbent:
+// role flags only accumulate and the area model is (normally) monotone in
+// them, so a state's area is an admissible bound and strictly-worse states
+// are cut.  Work is bounded by `transition_budget` (DP transitions
+// generated); past it — or past `exact_max_regs` registers — `solve`
+// returns the greedy solution instead.  Objective is lexicographic:
+// minimal extra area, then fewest CBILBOs, then fewest modified registers;
+// among equal solutions the embedding sequence that is lexicographically
+// smallest in module order wins.
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -55,9 +63,10 @@ struct BistSolution {
   std::vector<std::size_t> untestable_modules;
   /// Total extra gates of the register conversions.
   double extra_area = 0.0;
-  /// True when produced by the exact DP; false for greedy (including the
-  /// frontier-cap fallback, where a larger embedding space can paradoxically
-  /// yield a worse solution).
+  /// True when produced by the exact DP; false for greedy, including the
+  /// fallback when the DP exceeds its transition budget or register gate
+  /// (where a larger embedding space can paradoxically yield a worse
+  /// solution).
   bool exact = true;
 
   [[nodiscard]] RoleCounts counts() const;
@@ -67,29 +76,45 @@ struct BistSolution {
   [[nodiscard]] std::string describe(const Datapath& dp) const;
 };
 
+/// Work the exact DP did for one `solve` call (trace span arguments).
+struct BistDpStats {
+  std::uint64_t transitions = 0;   ///< (state, embedding) pairs tried
+  std::size_t peak_frontier = 0;   ///< most states on one DP level
+  std::size_t live_max = 0;        ///< widest key, in live registers
+  /// Why the greedy solver answered: "regs" (`exact_max_regs`), "budget"
+  /// (`transition_budget`), or nullptr when the DP finished.
+  const char* fallback = nullptr;
+};
+
 /// Minimal-area BIST allocation.
 class BistAllocator {
  public:
   explicit BistAllocator(AreaModel model) : model_(model) {}
 
   /// Exact branch-and-bound solver; falls back to greedy beyond
-  /// `max_frontier` surviving states or `exact_max_regs` registers.
-  [[nodiscard]] BistSolution solve(const Datapath& dp) const;
+  /// `transition_budget` DP transitions or `exact_max_regs` registers.
+  /// `stats`, if non-null, receives the work the DP did.
+  [[nodiscard]] BistSolution solve(const Datapath& dp,
+                                   BistDpStats* stats = nullptr) const;
 
   /// Greedy: modules in order, each takes its locally cheapest embedding.
   /// Streams the embedding space (nothing materialized) so it stays flat
   /// in memory at any design size.
   [[nodiscard]] BistSolution solve_greedy(const Datapath& dp) const;
 
-  /// Frontier cap for the exact DP (states per module level).
-  std::size_t max_frontier = 500000;
+  /// Work budget of the exact DP, in transitions generated: one per DP
+  /// state and distinct embedding effect tried.  Counted, not timed, so
+  /// whether a design solves exactly does not depend on the machine.  A
+  /// module level that would overrun it is not begun.  The default is over
+  /// twice the most any data path that solves exactly was measured to need
+  /// (docs/performance.md).
+  std::uint64_t transition_budget = 10000000;
 
-  /// Register-count cap for the exact DP.  Each DP state is one role byte
-  /// per register, so frontier memory and hashing cost scale with the
-  /// register count; past this many registers the search would burn
-  /// seconds and gigabytes before the inevitable `max_frontier` bail, so
-  /// `solve` goes straight to the streaming greedy allocator instead.
-  /// Paper benchmarks and fuzz shapes sit far below this cap.
+  /// Register-count cap for the exact DP.  The embedding lists are
+  /// materialized, and their size grows with the cube of the port fan-ins,
+  /// so past this many registers `solve` goes straight to the streaming
+  /// greedy allocator instead.  Paper benchmarks and fuzz shapes sit far
+  /// below this cap.
   std::size_t exact_max_regs = 192;
 
   /// Also consider TPG paths through modules held in an identity mode
@@ -99,7 +124,8 @@ class BistAllocator {
 
   /// Among area-minimal solutions, prefer the one needing the fewest test
   /// sessions (shorter total test time).  Evaluates the session count of
-  /// every area-optimal final state, so leave off for very large designs.
+  /// every area-optimal final state, so no register retires from the DP
+  /// key; leave off for very large designs.
   bool minimize_sessions = false;
 
   /// If non-null, receives per-register role assignments and greedy-fallback

@@ -1,5 +1,6 @@
 #include "passes/pipeline.hpp"
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -600,7 +601,17 @@ class BistPass final : public Pass {
         default: {
           BistAllocator allocator(opts.area);
           allocator.events = opts.events;
-          result.bist = allocator.solve(result.datapath);
+          BistDpStats dp_stats;
+          result.bist = allocator.solve(result.datapath, &dp_stats);
+          if (span.active()) {
+            span.arg("dp_transitions", dp_stats.transitions);
+            span.arg("dp_peak_frontier",
+                     std::uint64_t{dp_stats.peak_frontier});
+            span.arg("dp_live_max", std::uint64_t{dp_stats.live_max});
+            if (dp_stats.fallback != nullptr) {
+              span.arg("fallback", dp_stats.fallback);
+            }
+          }
           break;
         }
       }

@@ -7,6 +7,9 @@
 #include "bist/area_model.hpp"
 #include "bist/roles.hpp"
 #include "bist/sessions.hpp"
+#include "bist_reference_dp.hpp"
+#include "mid_range_designs.hpp"
+#include "obs/events.hpp"
 
 namespace lbist {
 namespace {
@@ -220,6 +223,80 @@ TEST(Allocator, MinimizeSessionsNeverCostsArea) {
   EXPECT_DOUBLE_EQ(a.extra_area, b.extra_area);
   EXPECT_LE(schedule_test_sessions(dp, b).num_sessions,
             schedule_test_sessions(dp, a).num_sessions);
+}
+
+TEST(Allocator, MinimizeSessionsMatchesReference) {
+  reference::LevelsDpOptions opts;
+  opts.minimize_sessions = true;
+  BistAllocator tuned{AreaModel{}};
+  tuned.minimize_sessions = true;
+  for (const Benchmark& bench : paper_benchmarks()) {
+    for (BinderKind binder :
+         {BinderKind::Traditional, BinderKind::BistAware}) {
+      const Datapath dp = testing::paper_datapath(bench, binder);
+      const BistSolution want =
+          reference::solve_levels_dp(dp, AreaModel{}, opts);
+      const BistSolution got = tuned.solve(dp);
+      ASSERT_TRUE(want.exact) << bench.name;
+      EXPECT_TRUE(got.exact) << bench.name;
+      EXPECT_EQ(got.extra_area, want.extra_area) << bench.name;
+      EXPECT_EQ(schedule_test_sessions(dp, got).num_sessions,
+                schedule_test_sessions(dp, want).num_sessions)
+          << bench.name;
+    }
+  }
+}
+
+TEST(Allocator, Random8x4BistSolvesExactly) {
+  // 20 registers; the full-width levels DP gave up here and fell back to
+  // greedy at 98 gates.
+  const Datapath dp =
+      testing::random_mid_datapath(8, 4, BinderKind::BistAware);
+  BistDpStats stats;
+  const BistSolution sol = BistAllocator{AreaModel{}}.solve(dp, &stats);
+  EXPECT_TRUE(sol.exact);
+  EXPECT_DOUBLE_EQ(sol.extra_area, 86.0);
+  EXPECT_EQ(stats.fallback, nullptr);
+  EXPECT_LT(stats.live_max, dp.registers.size());
+}
+
+TEST(Allocator, Fir32BothArmsSolveExactly) {
+  // 70 registers counting input registers, about half of them live at once.
+  for (auto [binder, area] : {std::pair{BinderKind::Traditional, 76.0},
+                              std::pair{BinderKind::BistAware, 70.0}}) {
+    const Datapath dp = testing::fir_datapath(32, binder);
+    const BistSolution sol = BistAllocator{AreaModel{}}.solve(dp);
+    EXPECT_TRUE(sol.exact);
+    EXPECT_DOUBLE_EQ(sol.extra_area, area);
+  }
+}
+
+TEST(Allocator, ExhaustedBudgetFallsBackToGreedyOnce) {
+  const Datapath dp = fig_datapath();
+  AlgorithmEvents events;
+  BistAllocator alloc{AreaModel{}};
+  alloc.transition_budget = 1;
+  alloc.events = &events;
+  BistDpStats stats;
+  const BistSolution sol = alloc.solve(dp, &stats);
+  const BistSolution greedy = BistAllocator{AreaModel{}}.solve_greedy(dp);
+  EXPECT_FALSE(sol.exact);
+  EXPECT_TRUE(sol.roles == greedy.roles);
+  EXPECT_EQ(sol.extra_area, greedy.extra_area);
+  EXPECT_EQ(events.count("bist_greedy_fallback"), 1u);
+  EXPECT_STREQ(stats.fallback, "budget");
+  // The first level needs 2 transitions, so it is not begun.
+  EXPECT_EQ(stats.transitions, 0u);
+}
+
+TEST(Allocator, RegisterGateReportsFallback) {
+  BistAllocator alloc{AreaModel{}};
+  alloc.exact_max_regs = 2;
+  BistDpStats stats;
+  const BistSolution sol = alloc.solve(fig_datapath(), &stats);
+  EXPECT_FALSE(sol.exact);
+  EXPECT_STREQ(stats.fallback, "regs");
+  EXPECT_EQ(stats.transitions, 0u);
 }
 
 TEST(Sessions, SharedSaForcesTwoSessions) {
