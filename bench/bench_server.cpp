@@ -25,7 +25,8 @@
 
 #include "bench_json.hpp"
 #include "obs/trace.hpp"
-#include "server/net.hpp"
+#include "net/frame.hpp"
+#include "net/socket.hpp"
 #include "server/server.hpp"
 #include "service/diskcache/diskcache.hpp"
 #include "support/table.hpp"
@@ -58,7 +59,7 @@ struct RunStats {
 void run_connection(std::uint16_t port, int requests, int seed,
                     std::vector<double>* latencies) {
   lbist::net::Socket sock = lbist::net::connect_to("127.0.0.1", port);
-  lbist::net::LineReader reader(sock.fd());
+  lbist::net::LineFramer framer;
   std::string line;
   latencies->reserve(static_cast<std::size_t>(requests));
   for (int i = 0; i < requests; ++i) {
@@ -66,7 +67,7 @@ void run_connection(std::uint16_t port, int requests, int seed,
         std::string(kJobs[(seed + i) % kJobCount]) + "\n";
     const Clock::time_point t0 = Clock::now();
     lbist::net::send_all(sock.fd(), request);
-    if (!reader.read_line(&line)) break;  // server went away
+    if (!lbist::net::recv_line(sock.fd(), framer, &line)) break;  // server went away
     latencies->push_back(
         std::chrono::duration<double, std::milli>(Clock::now() - t0)
             .count());
@@ -101,7 +102,7 @@ void run_connection_mix(std::uint16_t port, int requests, int seed,
                         const std::vector<std::string>* mix,
                         std::vector<double>* latencies) {
   lbist::net::Socket sock = lbist::net::connect_to("127.0.0.1", port);
-  lbist::net::LineReader reader(sock.fd());
+  lbist::net::LineFramer framer;
   std::string line;
   latencies->reserve(static_cast<std::size_t>(requests));
   for (int i = 0; i < requests; ++i) {
@@ -109,7 +110,7 @@ void run_connection_mix(std::uint16_t port, int requests, int seed,
         (*mix)[static_cast<std::size_t>(seed + i) % mix->size()];
     const Clock::time_point t0 = Clock::now();
     lbist::net::send_all(sock.fd(), request);
-    if (!reader.read_line(&line)) break;
+    if (!lbist::net::recv_line(sock.fd(), framer, &line)) break;
     latencies->push_back(
         std::chrono::duration<double, std::milli>(Clock::now() - t0)
             .count());

@@ -10,6 +10,7 @@
 #include "bist/sessions.hpp"
 #include "obs/events.hpp"
 #include "support/check.hpp"
+#include "support/hash.hpp"
 
 namespace lbist {
 
@@ -406,10 +407,7 @@ class StateSet {
   [[nodiscard]] std::size_t hash(const std::uint64_t* key) const {
     std::uint64_t h = 0x9e3779b97f4a7c15ULL;
     for (std::size_t w = 0; w < words_; ++w) {
-      h ^= key[w];
-      h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-      h ^= h >> 31;
+      h = splitmix64_finalize(h ^ key[w]);
     }
     return static_cast<std::size_t>(h);
   }

@@ -61,6 +61,11 @@ struct Benchmark {
 /// The five rows of Table I, in paper order.
 [[nodiscard]] std::vector<Benchmark> paper_benchmarks();
 
+/// A built-in by the name `lowbist bench` and batch/server manifests take:
+/// "ex1", "ex2", "tseng" (= "tseng1"), "tseng2", "paulin", "paulin-loop".
+/// Throws lbist::Error("unknown built-in benchmark: ...") otherwise.
+[[nodiscard]] Benchmark builtin_benchmark(const std::string& name);
+
 /// Parameterized FIR filter: `taps` multiplies plus a balanced adder tree.
 /// Unscheduled; coefficients and sample window are port-resident inputs.
 [[nodiscard]] Dfg make_fir(int taps);

@@ -10,21 +10,11 @@
 #include "fuzz/minimize.hpp"
 #include "service/thread_pool.hpp"
 #include "support/check.hpp"
+#include "support/hash.hpp"
 #include "support/version.hpp"
 
 namespace lbist {
 namespace {
-
-/// splitmix64 — same mixer as the oracle digest, reused for knob draws.
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  h ^= (h >> 30);
-  h *= 0xbf58476d1ce4e5b9ull;
-  h ^= (h >> 27);
-  h *= 0x94d049bb133111ebull;
-  h ^= (h >> 31);
-  return h;
-}
 
 /// Cheap deterministic knob stream derived from the case seed.
 class KnobStream {
@@ -33,7 +23,7 @@ class KnobStream {
 
   /// Uniform draw in [0, n).
   std::uint64_t next(std::uint64_t n) {
-    state_ = mix(state_, 0x2545f4914f6cdd1dull);
+    state_ = digest_mix(state_, 0x2545f4914f6cdd1dull);
     return state_ % n;
   }
 
@@ -66,7 +56,7 @@ std::string sanitize(std::string s) {
 FuzzCase make_fuzz_case(std::uint64_t master_seed, int index, int base_width,
                         bool vary_width, bool large_shapes) {
   const std::uint64_t case_seed =
-      mix(master_seed, static_cast<std::uint64_t>(index));
+      digest_mix(master_seed, static_cast<std::uint64_t>(index));
   KnobStream knobs(case_seed);
 
   RandomDfgOptions gen;
@@ -205,7 +195,7 @@ FuzzFailureReport build_report(int index, const FuzzCase& fc,
 FuzzSummary run_fuzz(const FuzzOptions& opts, std::ostream* log) {
   LBIST_CHECK(opts.cases >= 1, "fuzz needs at least one case");
   FuzzSummary summary;
-  summary.digest = mix(opts.seed, 0x66757a7aull);  // "fuzz"
+  summary.digest = digest_mix(opts.seed, 0x66757a7aull);  // "fuzz"
 
   ThreadPool pool(ThreadPool::resolve_jobs(opts.jobs));
   std::vector<std::future<CaseOutcome>> outcomes;
@@ -227,7 +217,7 @@ FuzzSummary run_fuzz(const FuzzOptions& opts, std::ostream* log) {
     // Collect in submission order: the digest fold is independent of how
     // the pool interleaved the workers.
     const CaseOutcome outcome = outcomes[static_cast<std::size_t>(i)].get();
-    summary.digest = mix(summary.digest, outcome.verdict.digest);
+    summary.digest = digest_mix(summary.digest, outcome.verdict.digest);
     ++summary.cases;
     if (!outcome.verdict.ok()) {
       ++summary.failures;

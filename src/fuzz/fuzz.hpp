@@ -5,8 +5,8 @@
 // chain-heavy, wide, loop-tied — see make_fuzz_case), fans the oracle runs
 // out over the service ThreadPool, and folds every case's observation
 // digest into one run digest.  Runs are deterministic per master seed:
-// case i is generated from mix(seed, i) and the digest is folded in case
-// order, so `-j 8` and `-j 1` produce identical summaries.
+// case i is generated from digest_mix(seed, i) and the digest is folded
+// in case order, so `-j 8` and `-j 1` produce identical summaries.
 //
 // Failing cases are shrunk with the delta-debugging minimizer and written
 // as replayable corpus files (fuzz/corpus.hpp) that `lowbist fuzz
@@ -25,7 +25,8 @@ namespace lbist {
 
 /// Fuzzing-run configuration.
 struct FuzzOptions {
-  std::uint64_t seed = 1;  ///< master seed; case i derives from mix(seed, i)
+  /// Master seed; case i derives from digest_mix(seed, i).
+  std::uint64_t seed = 1;
   int cases = 1000;
   int jobs = 1;            ///< oracle-thread count (<1 = hardware)
   int width = 4;           ///< base datapath width (cases also vary width)

@@ -18,6 +18,7 @@
 #include "rtl/ipath.hpp"
 #include "rtl/simulate.hpp"
 #include "support/check.hpp"
+#include "support/hash.hpp"
 
 namespace lbist {
 
@@ -28,30 +29,9 @@ bool OracleVerdict::failed(const std::string& name) const {
 
 namespace {
 
-/// splitmix64 finalizer — the digest mixer.
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  h ^= (h >> 30);
-  h *= 0xbf58476d1ce4e5b9ull;
-  h ^= (h >> 27);
-  h *= 0x94d049bb133111ebull;
-  h ^= (h >> 31);
-  return h;
-}
-
 std::uint32_t width_mask(int width) {
   return width >= 32 ? 0xFFFFFFFFu
                      : ((std::uint32_t{1} << width) - 1u);
-}
-
-const char* arm_name(BinderKind kind) {
-  switch (kind) {
-    case BinderKind::Traditional: return "trad";
-    case BinderKind::CliquePartition: return "clique";
-    case BinderKind::BistAware: return "bist";
-    case BinderKind::LoopAware: return "loop";
-    default: return "?";
-  }
 }
 
 /// Deterministic stimulus: vector 0 assigns input i the value i+1 (never
@@ -68,7 +48,7 @@ IdMap<VarId, std::uint32_t> make_inputs(const Dfg& dfg, int vec,
     if (vec == 0) {
       inputs[v.id] = ordinal & mask;
     } else {
-      const std::uint64_t h = mix(seed, ordinal);
+      const std::uint64_t h = digest_mix(seed, ordinal);
       inputs[v.id] = static_cast<std::uint32_t>(h) & mask;
     }
     if (inputs[v.id] == 0) inputs[v.id] = 1;  // keep mul/div paths non-trivial
@@ -125,7 +105,7 @@ class OracleRun {
   }
 
   void check_arm(BinderKind kind) {
-    const std::string arm = arm_name(kind);
+    const std::string arm = binder_short_name(kind);
     SynthesisOptions so;
     so.binder = kind;
     so.area.bit_width = opts_.width;
@@ -148,11 +128,12 @@ class OracleRun {
       if (kind == BinderKind::Traditional && opts_.check_lemma2) {
         check_lemma2(result);
       }
+      digest_ = digest_mix(
+          digest_, static_cast<std::uint64_t>(result.num_registers()));
       digest_ =
-          mix(digest_, static_cast<std::uint64_t>(result.num_registers()));
-      digest_ = mix(digest_, static_cast<std::uint64_t>(result.num_mux()));
-      digest_ = mix(digest_, static_cast<std::uint64_t>(std::llround(
-                                 result.overhead_percent * 1e6)));
+          digest_mix(digest_, static_cast<std::uint64_t>(result.num_mux()));
+      digest_ = digest_mix(digest_, static_cast<std::uint64_t>(std::llround(
+                                        result.overhead_percent * 1e6)));
     } catch (const Error& e) {
       // The pipeline tripped an LBIST_CHECK outside a validation oracle:
       // that is a finding, not a harness crash.
@@ -202,7 +183,7 @@ class OracleRun {
         fail("simulation:" + arm, os.str());
       }
       for (const auto& v : sim.observed) {
-        digest_ = mix(digest_, v);
+        digest_ = digest_mix(digest_, v);
       }
     }
     if (kind == BinderKind::LoopAware) {
@@ -299,7 +280,7 @@ class OracleRun {
                " cbilbo_forced events, independent Lemma-2 check finds " +
                std::to_string(expected.size()));
     }
-    digest_ = mix(digest_, events.count("cbilbo_forced"));
+    digest_ = digest_mix(digest_, events.count("cbilbo_forced"));
   }
 
   /// Every stage-boundary IR snapshot resumes to the bit-identical result:
@@ -332,7 +313,7 @@ class OracleRun {
         fail("snapshot-roundtrip",
              "stage " + stage_name + ": resumed JSON report diverged");
       }
-      digest_ = mix(digest_, got_json.size());
+      digest_ = digest_mix(digest_, got_json.size());
     }
   }
 
@@ -389,8 +370,8 @@ class OracleRun {
         report_json(dfg_, r3).dump() != report_json(dfg_, full3).dump()) {
       fail("incremental", "lifetime edit diverged from full synthesis");
     }
-    digest_ = mix(digest_, inc.stats().passes_run);
-    digest_ = mix(digest_, inc.stats().passes_reused);
+    digest_ = digest_mix(digest_, inc.stats().passes_run);
+    digest_ = digest_mix(digest_, inc.stats().passes_reused);
   }
 
   /// Lemma 2 agrees with brute force over every embedding (the paper's

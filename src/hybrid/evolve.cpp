@@ -2,17 +2,11 @@
 
 #include <vector>
 
+#include "support/hash.hpp"
+
 namespace lbist {
 
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
 
 std::uint32_t nonzero(std::uint32_t v, std::uint32_t mask) {
   v &= mask;

@@ -6,9 +6,9 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <string>
 
+#include "net/socket.hpp"
 #include "support/check.hpp"
 
 namespace lbist::net {
@@ -18,10 +18,6 @@ namespace {
 // The wakeup eventfd is registered under a tag no shard connection can
 // collide with (connection ids count up from 1).
 constexpr std::uint64_t kWakeTag = ~0ULL;
-
-[[noreturn]] void fail_errno(const char* what) {
-  throw Error(std::string(what) + ": " + std::strerror(errno));
-}
 
 std::uint32_t to_epoll(std::uint32_t events) {
   std::uint32_t e = 0;

@@ -4,6 +4,8 @@
 
 #include <cerrno>
 
+#include "net/socket.hpp"
+
 namespace lbist::net {
 
 void LineFramer::feed(const char* data, std::size_t n) {
@@ -37,6 +39,20 @@ bool LineFramer::finish(std::string* out) {
   buffer_.clear();
   scanned_ = 0;
   if (!out->empty() && out->back() == '\r') out->pop_back();
+  return true;
+}
+
+bool recv_line(int fd, LineFramer& framer, std::string* out) {
+  char chunk[4096];
+  while (!framer.next(out)) {
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      fail_errno("recv");
+    }
+    if (n == 0) return framer.finish(out);
+    framer.feed(chunk, static_cast<std::size_t>(n));
+  }
   return true;
 }
 

@@ -15,6 +15,10 @@
 // slow reader and disconnects instead of buffering without limit.
 // Neither class is thread-safe by itself; the server serializes access
 // per connection.
+//
+// recv_line is the blocking client's read half: it drives a LineFramer
+// from a blocking socket, so the client and the server frame lines with
+// the same code and the same bound.
 
 #include <cstddef>
 #include <string>
@@ -50,6 +54,12 @@ class LineFramer {
   std::string buffer_;
   std::size_t scanned_ = 0;  ///< prefix already known to hold no '\n'
 };
+
+/// Blocking read of the next line from `fd` through `framer`.  Returns
+/// false at clean end-of-stream, after a final unterminated line (if any)
+/// has been delivered.  Throws Error on a recv failure or when a line
+/// exceeds the framer's bound.
+[[nodiscard]] bool recv_line(int fd, LineFramer& framer, std::string* out);
 
 class OutboundBuffer {
  public:

@@ -7,16 +7,11 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 #include <string>
 
 namespace lbist::net {
 
 namespace {
-
-[[noreturn]] void fail_errno(const std::string& what) {
-  throw Error(what + ": " + std::strerror(errno));
-}
 
 Socket open_reserve() {
   // /dev/null is always openable and costs nothing; any fd works as the

@@ -1,14 +1,19 @@
 #include "net/socket.hpp"
 
+#include <arpa/inet.h>
 #include <fcntl.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
-#include <string>
 
 namespace lbist::net {
+
+void fail_errno(const std::string& what) {
+  throw Error(what + ": " + std::strerror(errno));
+}
 
 void Socket::close() {
   if (fd_ >= 0) {
@@ -28,7 +33,38 @@ void Socket::shutdown_write() {
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) {
-    throw Error(std::string("fcntl O_NONBLOCK: ") + std::strerror(errno));
+    fail_errno("fcntl O_NONBLOCK");
+  }
+}
+
+Socket connect_to(const std::string& host, std::uint16_t port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  const std::string node = host == "localhost" ? "127.0.0.1" : host;
+  if (::inet_pton(AF_INET, node.c_str(), &addr.sin_addr) != 1) {
+    throw Error("invalid host address: " + host);
+  }
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) fail_errno("socket");
+  Socket sock(fd);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+      0) {
+    fail_errno("connect " + host + ":" + std::to_string(port));
+  }
+  return sock;
+}
+
+void send_all(int fd, std::string_view data) {
+  std::size_t sent = 0;
+  while (sent < data.size()) {
+    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      fail_errno("send");
+    }
+    sent += static_cast<std::size_t>(n);
   }
 }
 

@@ -1,8 +1,15 @@
 #pragma once
-// Owning POSIX socket fd plus the tiny fd-mode helpers the event-driven
-// transport needs.  This is the bottom of the networking stack: the epoll
-// loop (net/event_loop.hpp), the SO_REUSEPORT listener (net/listener.hpp)
-// and the blocking client-side wrappers (server/net.hpp) all build on it.
+// Owning POSIX socket fd, the fd-mode helpers the event-driven transport
+// needs, and the blocking client side (connect, send-all).  This is the
+// bottom of the networking stack: the epoll loop (net/event_loop.hpp), the
+// SO_REUSEPORT listener (net/listener.hpp), the line framing
+// (net/frame.hpp) and the protocol client (server/client.hpp) all build on
+// it.  Failures throw lbist::Error; sends use MSG_NOSIGNAL so a vanished
+// peer surfaces as an error instead of SIGPIPE.
+
+#include <cstdint>
+#include <string>
+#include <string_view>
 
 #include "support/check.hpp"
 
@@ -38,7 +45,16 @@ class Socket {
   int fd_ = -1;
 };
 
+/// Throws Error("<what>: <strerror(errno)>").
+[[noreturn]] void fail_errno(const std::string& what);
+
 /// Switches the descriptor into non-blocking mode; throws Error on failure.
 void set_nonblocking(int fd);
+
+/// Blocking connect to host:port (host is a dotted-quad or "localhost").
+[[nodiscard]] Socket connect_to(const std::string& host, std::uint16_t port);
+
+/// Writes the whole buffer to a blocking socket; throws Error on failure.
+void send_all(int fd, std::string_view data);
 
 }  // namespace lbist::net

@@ -13,6 +13,7 @@
 #include "dfg/parse.hpp"
 #include "obs/trace.hpp"
 #include "support/check.hpp"
+#include "support/hash.hpp"
 #include "support/version.hpp"
 
 namespace lbist {
@@ -24,15 +25,6 @@ namespace {
 // Every pass hashes a canonical string of its inputs with FNV-1a.  The
 // strings are built from ids, flags and exactly-printed doubles, so two
 // states fingerprint equal iff the pass would read identical inputs.
-
-std::uint64_t fnv(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 void append_num(std::string& out, long long v) {
   out += std::to_string(v);
@@ -107,6 +99,8 @@ std::string registers_key(const RegisterBinding& rb) {
   return key;
 }
 
+}  // namespace
+
 std::string area_key(const AreaModel& area) {
   std::string key = std::to_string(area.bit_width) + ";";
   append_double(key, area.reg_gates_per_bit);
@@ -133,6 +127,8 @@ std::string bist_binder_key(const BistBinderOptions& bb) {
   key += bb.avoid_cbilbo ? '1' : '0';
   return key;
 }
+
+namespace {
 
 // ---- JSON helpers --------------------------------------------------------
 
@@ -416,7 +412,7 @@ class SchedPass final : public Pass {
     key += "|spec=" + spec_key(state.protos());
     key += "|lt=";
     key += state.options().lifetime.hold_outputs_to_end ? '1' : '0';
-    return fnv(key);
+    return fnv1a64(key);
   }
 };
 
@@ -448,7 +444,7 @@ class ConflictGraphPass final : public Pass {
     for (const Variable& v : state.dfg().vars()) {
       key += v.allocatable() ? '1' : '0';
     }
-    return fnv(key);
+    return fnv1a64(key);
   }
 };
 
@@ -537,7 +533,7 @@ class BindingPass final : public Pass {
     key += structural_key(state.dfg(), state.sched());
     key += "|lt:" + lifetimes_key(state.result.lifetimes);
     key += "|mo:" + module_of_key(state.result.modules, state.dfg());
-    return fnv(key);
+    return fnv1a64(key);
   }
 };
 
@@ -578,7 +574,7 @@ class InterconnectPass final : public Pass {
     key += "|spec=" + spec_key(state.protos());
     key += "|mo:" + module_of_key(state.result.modules, state.dfg());
     key += "|rb:" + registers_key(state.result.registers);
-    return fnv(key);
+    return fnv1a64(key);
   }
 };
 
@@ -652,7 +648,7 @@ class BistPass final : public Pass {
     key += area_key(opts.area);
     key += '|';
     key += datapath_to_json(state.result.datapath).dump_compact();
-    return fnv(key);
+    return fnv1a64(key);
   }
 };
 

@@ -17,6 +17,7 @@
 // docs/passes.md for the schema and examples.
 
 #include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -66,6 +67,13 @@ class PassPipeline {
 [[nodiscard]] Json options_to_json(const SynthesisOptions& opts);
 /// Inverse of options_to_json; unknown binder names etc. throw.
 [[nodiscard]] SynthesisOptions options_from_json(const Json& j);
+
+/// Canonical key of every area-model field (the width, then each per-bit
+/// cost printed exactly).  Shared by the pass fingerprints and the
+/// synthesis cache key, so both change together when AreaModel grows.
+[[nodiscard]] std::string area_key(const AreaModel& area);
+/// Canonical key of the BIST-aware binder's ingredient switches.
+[[nodiscard]] std::string bist_binder_key(const BistBinderOptions& bb);
 
 /// Rebuilds a ModuleProto from its label() ("+" or "[-*/&|]").
 [[nodiscard]] ModuleProto proto_from_label(std::string_view label);

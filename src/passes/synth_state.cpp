@@ -4,26 +4,55 @@
 
 namespace lbist {
 
-const char* binder_kind_name(BinderKind kind) {
-  switch (kind) {
-    case BinderKind::Traditional: return "traditional";
-    case BinderKind::BistAware: return "bist-aware";
-    case BinderKind::Ralloc: return "ralloc";
-    case BinderKind::Syntest: return "syntest";
-    case BinderKind::CliquePartition: return "clique";
-    case BinderKind::LoopAware: return "loop-aware";
+namespace {
+
+/// Every binder's two names.
+struct BinderNames {
+  BinderKind kind;
+  const char* name;        ///< canonical: snapshots, checkpoints, sweeps
+  const char* short_name;  ///< CLI flags and batch/server manifests
+};
+
+constexpr BinderNames kBinderNames[] = {
+    {BinderKind::Traditional, "traditional", "trad"},
+    {BinderKind::BistAware, "bist-aware", "bist"},
+    {BinderKind::Ralloc, "ralloc", "ralloc"},
+    {BinderKind::Syntest, "syntest", "syntest"},
+    {BinderKind::CliquePartition, "clique", "clique"},
+    {BinderKind::LoopAware, "loop-aware", "loop"},
+};
+
+const BinderNames* names_of(BinderKind kind) {
+  for (const BinderNames& row : kBinderNames) {
+    if (row.kind == kind) return &row;
   }
-  return "?";
+  return nullptr;
+}
+
+}  // namespace
+
+const char* binder_kind_name(BinderKind kind) {
+  const BinderNames* row = names_of(kind);
+  return row != nullptr ? row->name : "?";
+}
+
+const char* binder_short_name(BinderKind kind) {
+  const BinderNames* row = names_of(kind);
+  return row != nullptr ? row->short_name : "?";
 }
 
 BinderKind binder_kind_from_name(std::string_view name) {
-  for (BinderKind kind :
-       {BinderKind::Traditional, BinderKind::BistAware, BinderKind::Ralloc,
-        BinderKind::Syntest, BinderKind::CliquePartition,
-        BinderKind::LoopAware}) {
-    if (name == binder_kind_name(kind)) return kind;
+  for (const BinderNames& row : kBinderNames) {
+    if (name == row.name) return row.kind;
   }
   throw Error("unknown binder name: " + std::string(name));
+}
+
+BinderKind binder_from_short_name(std::string_view name) {
+  for (const BinderNames& row : kBinderNames) {
+    if (name == row.short_name) return row.kind;
+  }
+  throw Error("unknown binder: " + std::string(name));
 }
 
 SynthState::SynthState(std::unique_ptr<ParsedDfg> design,

@@ -35,6 +35,13 @@ namespace lbist {
 /// Parses a canonical binder name; throws lbist::Error on unknown names.
 [[nodiscard]] BinderKind binder_kind_from_name(std::string_view name);
 
+/// Short binder name taken by the CLI's --binder and by batch/server
+/// manifests: "trad", "bist", "ralloc", "syntest", "clique", "loop".
+[[nodiscard]] const char* binder_short_name(BinderKind kind);
+
+/// Parses a short binder name; throws lbist::Error("unknown binder: ...").
+[[nodiscard]] BinderKind binder_from_short_name(std::string_view name);
+
 /// Pipeline state threaded through the passes.  Move-only: it may borrow
 /// the caller's DFG/schedule and holds the partially-built result.
 class SynthState {

@@ -3,7 +3,8 @@
 #include <ostream>
 #include <thread>
 
-#include "server/net.hpp"
+#include "net/frame.hpp"
+#include "net/socket.hpp"
 #include "support/json.hpp"
 
 namespace lbist {
@@ -19,9 +20,9 @@ ClientSummary run_client(const std::string& host, std::uint16_t port,
   // sending lines nobody accepts).
   std::thread receiver([&] {
     try {
-      net::LineReader reader(sock.fd());
+      net::LineFramer framer;
       std::string line;
-      while (reader.read_line(&line)) {
+      while (net::recv_line(sock.fd(), framer, &line)) {
         out << line << "\n";
         ++summary.responses;
         try {

@@ -2,6 +2,8 @@
 
 #include <chrono>
 
+#include "support/hash.hpp"
+
 namespace lbist {
 
 namespace {
@@ -13,15 +15,6 @@ double percentile(std::vector<double>& sorted, double q) {
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = idx - static_cast<double>(lo);
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
-// splitmix64: tiny, stateless-per-step PRNG; good enough for reservoir
-// slot selection and fully deterministic for a given record() sequence.
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
 }
 
 }  // namespace

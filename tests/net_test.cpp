@@ -21,7 +21,6 @@
 #include "net/frame.hpp"
 #include "net/listener.hpp"
 #include "net/socket.hpp"
-#include "server/net.hpp"
 #include "server/server.hpp"
 #include "support/json.hpp"
 
@@ -77,6 +76,45 @@ TEST(LineFramer, OversizedCompleteLineThrows) {
   framer.feed(std::string(100, 'y') + "\n");
   std::string line;
   EXPECT_THROW((void)framer.next(&line), Error);
+}
+
+// recv_line drives the framer from a blocking socket (the client's read
+// half): the tail after the last newline still arrives at end-of-stream.
+TEST(RecvLine, DeliversFinalUnterminatedLine) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  net::Socket writer(fds[0]);
+  net::Socket reader(fds[1]);
+  net::send_all(writer.fd(), "first\r\nlast");
+  writer.shutdown_write();
+
+  net::LineFramer framer;
+  std::string line;
+  ASSERT_TRUE(net::recv_line(reader.fd(), framer, &line));
+  EXPECT_EQ(line, "first");
+  ASSERT_TRUE(net::recv_line(reader.fd(), framer, &line));
+  EXPECT_EQ(line, "last");
+  EXPECT_FALSE(net::recv_line(reader.fd(), framer, &line));
+  EXPECT_FALSE(net::recv_line(reader.fd(), framer, &line));
+}
+
+TEST(RecvLine, ThrowsOnOversizedLine) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  net::Socket writer(fds[0]);
+  net::Socket reader(fds[1]);
+  net::send_all(writer.fd(), std::string(100, 'x'));  // no newline
+  writer.shutdown_write();
+
+  net::LineFramer framer(/*max_line=*/64);
+  std::string line;
+  try {
+    (void)net::recv_line(reader.fd(), framer, &line);
+    FAIL() << "expected oversized-line error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("request line exceeds 64 bytes"),
+              std::string::npos);
+  }
 }
 
 TEST(OutboundBuffer, AppendRefusesToGrowPastTheBound) {
@@ -275,10 +313,10 @@ TEST(ServerTransport, HalfClosedClientStillReceivesResponses) {
                 "{\"type\":\"health\"}\n{\"type\":\"metrics\"}\n");
   sock.shutdown_write();
 
-  net::LineReader reader(sock.fd());
+  net::LineFramer framer;
   std::vector<std::string> lines;
   std::string line;
-  while (reader.read_line(&line)) lines.push_back(line);
+  while (net::recv_line(sock.fd(), framer, &line)) lines.push_back(line);
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(Json::parse(lines[0]).at("type").as_string(), "health");
   EXPECT_EQ(Json::parse(lines[1]).at("type").as_string(), "metrics");
@@ -297,11 +335,11 @@ TEST(ServerTransport, UnterminatedFinalRequestIsServed) {
   net::send_all(sock.fd(), "{\"type\":\"health\"}");  // no '\n'
   sock.shutdown_write();
 
-  net::LineReader reader(sock.fd());
+  net::LineFramer framer;
   std::string line;
-  ASSERT_TRUE(reader.read_line(&line));
+  ASSERT_TRUE(net::recv_line(sock.fd(), framer, &line));
   EXPECT_EQ(Json::parse(line).at("status").as_string(), "ok");
-  EXPECT_FALSE(reader.read_line(&line));
+  EXPECT_FALSE(net::recv_line(sock.fd(), framer, &line));
   server.stop();
 }
 

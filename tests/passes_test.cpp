@@ -58,8 +58,17 @@ TEST(Pipeline, BinderNamesRoundTrip) {
         BinderKind::Syntest, BinderKind::CliquePartition,
         BinderKind::LoopAware}) {
     EXPECT_EQ(binder_kind_from_name(binder_kind_name(kind)), kind);
+    EXPECT_EQ(binder_from_short_name(binder_short_name(kind)), kind);
   }
   EXPECT_THROW((void)binder_kind_from_name("left-edge"), Error);
+  EXPECT_STREQ(binder_short_name(BinderKind::Traditional), "trad");
+  EXPECT_STREQ(binder_short_name(BinderKind::LoopAware), "loop");
+  try {
+    (void)binder_from_short_name("traditional");
+    FAIL() << "canonical names are not short names";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "unknown binder: traditional");
+  }
 }
 
 /// Every stage boundary of every binder arm round-trips: snapshot at the

@@ -211,6 +211,17 @@ TEST(CacheKey, Fnv1a64IsStable) {
   EXPECT_NE(fnv1a64("ab"), fnv1a64("ba"));
 }
 
+// The batch/server "key" field, and with it every on-disk cache entry, is
+// the FNV-1a of the canonical request key: its bytes must not drift.
+TEST(CacheKey, BuiltinEx1KeyIsPinned) {
+  const ManifestEntry entry = decode_manifest_line(1, R"({"bench":"ex1"})");
+  SynthesisCache cache(4);
+  MetricsRegistry metrics;
+  const JobOutcome out = run_entry(entry, 0, cache, metrics);
+  ASSERT_TRUE(out.ok);
+  EXPECT_EQ(out.line.at("result").at("key").as_string(), "a27b72fd588bfa19");
+}
+
 // ---- Metrics -------------------------------------------------------------
 
 TEST(Metrics, HistogramSummaries) {

@@ -1,100 +1,73 @@
 // lowbist — command-line front end to the library.
 //
-//   lowbist synth <design.dfg> --modules "1+,1*" [options]
+//   lowbist synth <design.dfg> [options]
 //       Synthesize one data path and print the design + BIST report.
-//   lowbist compare <design.dfg> --modules "1+,1*" [options]
+//   lowbist synth --resume-from <snap.json|-> [options]
+//       Continue from an IR snapshot written by --dump-ir; the snapshot's
+//       recorded synthesis options (binder, width, ...) win over the flags.
+//   lowbist compare <design.dfg> [--modules SPEC] [--width N] [--json]
 //       Traditional vs BIST-aware side by side (the Table I experiment).
-//   lowbist tables
-//       Print the paper's Tables I-III on the built-in benchmarks.
+//   lowbist tables [--width N]
+//       Print the paper's Tables I-II on the built-in benchmarks.
 //   lowbist bench <name>
-//       Print a built-in benchmark (ex1, ex2, tseng, paulin) in the
-//       textual DFG format (pipe into a file to start hacking on it).
+//       Print a built-in benchmark (ex1, ex2, tseng, tseng1, tseng2,
+//       paulin, paulin-loop) in the textual DFG format.
 //   lowbist schedule <design.dfg> [--fu "2*"]... [--latency N]
 //       Schedule an unannotated design (resource-constrained list
 //       scheduling, or force-directed when --latency is given) and print
 //       it back with @step annotations.
 //   lowbist optimize <design.dfg>
-//       Run common-subexpression elimination + dead-code removal and
-//       print the cleaned design (unscheduled).
+//       Common-subexpression elimination + dead-code removal.
 //   lowbist batch <jobs.jsonl|-> [-j N] [--metrics out.json] [--cache N]
-//       Run a JSONL job manifest (one synthesis job per line, "-" reads
-//       the manifest from stdin) over a thread pool with a synthesis
-//       cache; stream one JSON result line per job in completion order
-//       (see docs/service.md).
-//   lowbist serve [--port P] [-j N] [--shards N] [--cache N]
-//                 [--max-queue N] [--deadline-ms N] [--cache-dir DIR]
-//                 [--cache-budget-mb N]
+//       Run a JSONL job manifest over a thread pool with a synthesis cache;
+//       one JSON result line per job in completion order (docs/service.md).
+//   lowbist serve [--port P] [-j N] [--shards N] [--cache N] ...
 //       Long-running synthesis server on 127.0.0.1 speaking newline-
-//       delimited JSON with the batch job schema; bounded admission
-//       queue, per-request deadlines, health/metrics requests, graceful
-//       shutdown on SIGINT/SIGTERM (see docs/server.md).
+//       delimited JSON with the batch job schema (docs/server.md).
 //   lowbist client <host:port> <jobs.jsonl|->
-//       Send a job manifest to a running server and print one response
-//       line per job.
-//   lowbist fuzz [--seed N] [--cases N] [-j N] [--width N] [--fixed-width]
-//                [--out DIR] [--no-minimize] [--max-reports N]
-//                [--progress N] [--large-shapes]
-//       Differential fuzzing: random scheduled DFGs through every binder,
-//       checked against simulation/Lemma-2/area/report oracles; failures
-//       are delta-debugged to minimal corpus reproducers (docs/fuzzing.md).
-//   lowbist fuzz --replay <file.corpus>
-//       Re-judge one corpus reproducer with the same oracles.
-//   lowbist explore <design.dfg> [--modules "S1;S2;..."] [--binder K[,K]]
-//       Design-space sweep (module specs for scheduled designs, --fu
-//       resource budgets for unscheduled ones) with a Pareto filter.
+//       Send a job manifest to a running server, print one line per job.
+//   lowbist fuzz [--seed N] [--cases N] [-j N] ...  |  --replay <file>
+//       Differential fuzzing against the simulation/Lemma-2/area/report
+//       oracles, or re-judging one corpus reproducer (docs/fuzzing.md).
+//   lowbist explore <design.dfg> [--modules "S1;S2"] [--binder K[,K]] ...
+//       Design-space sweep with a Pareto filter; --pareto bist grades
+//       area x coverage x test length (docs/hybrid-bist.md).
 //   lowbist metrics <dump.json|-> [--prom]
-//       Pretty-print a MetricsRegistry dump, or convert it to Prometheus
-//       text exposition with --prom.
+//       Pretty-print a MetricsRegistry dump, or convert it to Prometheus.
 //   lowbist version [--json]
-//       Print the build identity (version, git describe, compiler,
-//       sanitizer preset, build type).
+//       Print the build identity.
 //
-// Common options:
+// Options (each command takes only the ones its usage line lists; any
+// other flag is a usage error, exit 2):
 //   --modules SPEC     module assignment, e.g. "1+,2*" or "1+,3[-*/&|]"
 //                      (default: minimal spec derived from the schedule)
 //   --binder KIND      trad | bist | ralloc | syntest | clique | loop
 //   --width N          datapath bit width for the area model (default 4)
-//   --patterns N       BIST patterns per module for the test plan (default
-//                      250)
-//   --dot              emit Graphviz of the data path
-//   --verilog          emit structural Verilog
-//   --plan             fault-simulate and print the full test plan
-//   --selftest         run the complete BIST plan through the netlist and
-//                      report chip-level fault coverage
-//   --testbench        emit a self-checking Verilog testbench
-//   --bist-verilog     emit the self-testing RTL (BILBO registers + BIST
-//                      controller + golden signature checks)
-//   --json             machine-readable report instead of text
-//   --vcd              dump a VCD waveform of one functional run (synth)
-//   --ctrl-verilog     emit the functional-mode controller FSM
-//   --coverage N       pick the pattern budget by target coverage (0-1)
+//   --patterns N       BIST patterns per module for the test plan (250)
+//   --coverage T       pick the pattern budget by target coverage (0-1)
 //                      instead of --patterns
-//   --decisions        print the binder's decision log
-//   --trace FILE       write a Chrome trace_event JSON of the pipeline's
-//                      phase spans (load in chrome://tracing / Perfetto)
-//   --profile FILE     (synth, batch, explore, serve) run the command under
-//                      the span-attributed sampling profiler; folded stacks
-//                      go to FILE (flamegraph.pl / speedscope ready) and
-//                      the JSON report to FILE.json (docs/observability.md)
+//   --dot / --verilog / --ctrl-verilog / --bist-verilog / --testbench /
+//   --vcd              emit Graphviz, structural Verilog, the controller
+//                      FSM, the self-testing RTL, a self-checking testbench
+//                      or a VCD of one functional run
+//   --plan / --selftest  print the fault-simulated test plan / chip-level
+//                      self-test coverage
+//   --json             machine-readable report instead of text
+//   --decisions        print the BIST-aware binder's decision log
+//   --dump-ir STAGE    stop after STAGE (sched, conflict_graph, binding,
+//                      interconnect, bist) and print the IR snapshot
+//   --ir-out FILE      write the --dump-ir snapshot to FILE
+//   --checkpoint FILE  (explore) JSONL checkpoint of finished points
+//   --trace FILE       Chrome trace_event JSON of the pipeline's spans
+//   --trace-events FILE  algorithm decision events as JSONL
+//   --profile FILE     span-attributed sampling profile: folded stacks to
+//                      FILE, JSON report to FILE.json
 //   --profile-hz N     profiler sampling rate per thread (default 199)
-//   --slow-ms N        (serve) log a "slow_request" line (with span id) for
-//                      requests slower than N ms
-//   --trace-events FILE
-//                      write the algorithm decision-event stream (PVES
-//                      order, ΔSD choices, Case overrides, CBILBO checks,
-//                      mux merges, BIST roles) as JSONL
-//   --dump-ir STAGE    (synth) stop after STAGE (sched, conflict_graph,
-//                      binding, interconnect, bist) and print the IR
-//                      snapshot as JSON instead of the report
-//   --ir-out FILE      (synth) write the --dump-ir snapshot to FILE
-//   --resume-from FILE (synth) restore an IR snapshot ("-" reads stdin)
-//                      and continue from its recorded stage; replaces the
-//                      design-file argument, and the snapshot's recorded
-//                      synthesis options win over --binder/--width
-//   --checkpoint FILE  (explore) append finished design points to a JSONL
-//                      checkpoint and skip points already recorded there
+//   --slow-ms N        (serve) log requests slower than N ms
+// A value flag's value may not start with "--".
 
 #include <algorithm>
+#include <climits>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -106,9 +79,9 @@
 
 #include "binding/bist_aware_binder.hpp"
 #include "bist/selftest.hpp"
-#include "bist/verilog_bist.hpp"
 #include "bist/test_length.hpp"
 #include "bist/test_plan.hpp"
+#include "bist/verilog_bist.hpp"
 #include "core/compare.hpp"
 #include "core/explorer.hpp"
 #include "core/report.hpp"
@@ -116,14 +89,13 @@
 #include "dfg/benchmarks.hpp"
 #include "dfg/optimize.hpp"
 #include "fuzz/fuzz.hpp"
+#include "graph/conflict.hpp"
 #include "hybrid/pareto.hpp"
 #include "obs/events.hpp"
 #include "obs/profiler.hpp"
 #include "obs/prom.hpp"
 #include "obs/trace.hpp"
-#include "graph/conflict.hpp"
 #include "passes/pipeline.hpp"
-#include "support/version.hpp"
 #include "rtl/controller.hpp"
 #include "rtl/simulate.hpp"
 #include "rtl/testbench.hpp"
@@ -138,17 +110,17 @@
 #include "service/metrics.hpp"
 #include "service/thread_pool.hpp"
 #include "support/table.hpp"
+#include "support/version.hpp"
 
 namespace {
 
 using namespace lbist;
 
+/// Everything the flags set.  Defaults are the documented ones.
 struct CliOptions {
-  std::string command;
-  std::string target;
-  std::string target2;  // client: manifest path (target is host:port)
+  std::vector<std::string> args;  ///< positional arguments
   std::optional<std::string> modules;
-  std::string binder = "bist";
+  std::optional<std::string> binder;
   int width = 4;
   int patterns = 250;
   bool dot = false;
@@ -173,17 +145,16 @@ struct CliOptions {
   int profile_hz = 199;
   int slow_ms = 0;
   bool prom = false;
-  bool binder_given = false;
   std::vector<std::string> fu;
   std::optional<int> latency;
   int jobs = 1;
-  std::size_t cache_capacity = 256;
+  int cache_capacity = 256;
   std::optional<std::string> metrics_path;
   int port = 0;
-  std::size_t max_queue = 64;
+  int max_queue = 64;
   int deadline_ms = 0;
   int shards = 1;
-  std::string cache_dir;
+  std::optional<std::string> cache_dir;
   int cache_budget_mb = 256;
   // fuzz
   std::uint64_t fuzz_seed = 1;
@@ -198,40 +169,28 @@ struct CliOptions {
   bool fuzz_inject_binding_bug = false;  // hidden mutation self-test
 };
 
+/// One row of the command table.
+struct Command {
+  const char* name;
+  int min_args;
+  int max_args;
+  const char* args;    ///< positional synopsis, for the arity error
+  const char* flags;   ///< space-separated flags the handler reads
+  bool observed;       ///< also takes --trace/--trace-events/--profile[-hz]
+  const char* usage;   ///< usage lines (after "lowbist ")
+  int (*run)(const CliOptions&);
+};
+
+constexpr const char* kObservabilityFlags =
+    "--trace --trace-events --profile --profile-hz";
+
+const std::vector<Command>& commands();
+
 [[noreturn]] void usage(const std::string& error = "") {
   if (!error.empty()) std::cerr << "error: " << error << "\n\n";
+  std::cerr << "usage:\n";
+  for (const Command& cmd : commands()) std::cerr << cmd.usage;
   std::cerr <<
-      "usage:\n"
-      "  lowbist synth <design.dfg> [--modules SPEC] [--binder KIND]\n"
-      "                [--width N] [--patterns N] [--dot] [--verilog]\n"
-      "                [--plan] [--decisions] [--trace FILE]\n"
-      "                [--trace-events FILE]\n"
-      "                [--dump-ir STAGE] [--ir-out FILE]\n"
-      "  lowbist synth --resume-from <snap.json|-> [--dump-ir STAGE]\n"
-      "  lowbist compare <design.dfg> [--modules SPEC] [--width N]\n"
-      "  lowbist tables\n"
-      "  lowbist bench <ex1|ex2|tseng|paulin>\n"
-      "  lowbist schedule <design.dfg> [--fu \"2*\"]... [--latency N]\n"
-      "  lowbist optimize <design.dfg>\n"
-      "  lowbist batch <jobs.jsonl|-> [-j N] [--metrics out.json]\n"
-      "                [--cache N]            (\"-\" reads stdin)\n"
-      "  lowbist serve [--port P] [-j N] [--shards N] [--cache N]\n"
-      "                [--max-queue N] [--deadline-ms N] [--slow-ms N]\n"
-      "                [--cache-dir DIR] [--cache-budget-mb N]\n"
-      "  lowbist client <host:port> <jobs.jsonl|->\n"
-      "  lowbist fuzz [--seed N] [--cases N] [-j N] [--width N]\n"
-      "               [--fixed-width] [--out DIR] [--no-minimize]\n"
-      "               [--max-reports N] [--progress N] [--large-shapes]\n"
-      "  lowbist fuzz --replay <file.corpus>\n"
-      "  lowbist explore <design.dfg> [--modules \"S1;S2\"] [--fu \"1+,1*\"]...\n"
-      "                  [--binder KIND[,KIND]] [-j N] [--width N] [--json]\n"
-      "                  [--checkpoint FILE]\n"
-      "  lowbist explore <design.dfg> --pareto bist [--patterns N]\n"
-      "                  [--binder KIND[,KIND]] [-j N] [--width N] [--json]\n"
-      "                  [--metrics FILE]   hybrid-BIST sweep: area x\n"
-      "                  coverage x test-length (docs/hybrid-bist.md)\n"
-      "  lowbist metrics <dump.json|-> [--prom]\n"
-      "  lowbist version [--json]\n"
       "\n"
       "observability (synth, batch, serve, explore):\n"
       "  --trace FILE         Chrome trace_event JSON of pipeline spans\n"
@@ -242,196 +201,200 @@ struct CliOptions {
   std::exit(error.empty() ? 0 : 2);
 }
 
-CliOptions parse_args(int argc, char** argv) {
+// ---- The flag table -------------------------------------------------------
+
+/// One occurrence of a flag being applied: its spelling (for messages) and
+/// its value.
+struct FlagArg {
+  std::string_view flag;
+  std::string value;
+
+  [[noreturn]] void fail(const std::string& need) const {
+    usage("flag " + std::string(flag) + " needs " + need);
+  }
+
+  /// The whole value through `parse` (a std::sto* call), or a usage error.
+  template <typename Parse>
+  auto parsed(Parse parse, const char* kind) const {
+    try {
+      std::size_t used = 0;
+      const auto v = parse(value, &used);
+      if (used == value.size()) return v;
+    } catch (const std::exception&) {
+    }
+    fail(std::string(kind) + ", got: " + value);
+  }
+
+  [[nodiscard]] int integer() const {
+    return parsed([](auto& s, auto* u) { return std::stoi(s, u); },
+                  "an integer");
+  }
+};
+
+/// One row of the flag table.  A switch sets `on`; a value flag stores
+/// into `text` or `number` (which must lie in [lo, hi], else "flag F needs
+/// <need>"), or runs `apply`.
+struct Flag {
+  const char* name;
+  bool CliOptions::*on = nullptr;
+  std::optional<std::string> CliOptions::*text = nullptr;
+  int CliOptions::*number = nullptr;
+  int lo = INT_MIN;
+  int hi = INT_MAX;
+  const char* need = nullptr;
+  void (*apply)(CliOptions&, const FlagArg&) = nullptr;
+  const char* alias = nullptr;  ///< second spelling
+};
+
+using O = CliOptions;
+
+const Flag kFlags[] = {
+    {.name = "--modules", .text = &O::modules},
+    {.name = "--binder", .text = &O::binder},
+    {.name = "--width", .number = &O::width},
+    {.name = "--patterns", .number = &O::patterns},
+    {.name = "--coverage",
+     .apply = [](O& o, const FlagArg& a) {
+       o.coverage_target = a.parsed(
+           [](auto& s, auto* u) { return std::stod(s, u); }, "a number");
+     }},
+    {.name = "--dot", .on = &O::dot},
+    {.name = "--verilog", .on = &O::verilog},
+    {.name = "--plan", .on = &O::plan},
+    {.name = "--selftest", .on = &O::selftest},
+    {.name = "--testbench", .on = &O::testbench},
+    {.name = "--bist-verilog", .on = &O::bist_verilog},
+    {.name = "--json", .on = &O::json},
+    {.name = "--vcd", .on = &O::vcd},
+    {.name = "--ctrl-verilog", .on = &O::ctrl_verilog},
+    {.name = "--decisions", .on = &O::decisions},
+    {.name = "--dump-ir", .text = &O::dump_ir},
+    {.name = "--ir-out", .text = &O::ir_out},
+    {.name = "--resume-from", .text = &O::resume_from},
+    {.name = "--checkpoint", .text = &O::checkpoint},
+    {.name = "--pareto", .text = &O::pareto},
+    {.name = "--fu",
+     .apply = [](O& o, const FlagArg& a) { o.fu.push_back(a.value); }},
+    {.name = "--latency",
+     .apply = [](O& o, const FlagArg& a) { o.latency = a.integer(); }},
+    {.name = "--trace", .text = &O::trace_path},
+    {.name = "--trace-events", .text = &O::trace_events_path},
+    {.name = "--profile", .text = &O::profile_path},
+    {.name = "--profile-hz", .number = &O::profile_hz, .lo = 1, .hi = 10000,
+     .need = "1..10000"},
+    {.name = "--slow-ms", .number = &O::slow_ms, .lo = 0,
+     .need = "a non-negative threshold"},
+    {.name = "--prom", .on = &O::prom},
+    {.name = "-j", .number = &O::jobs, .alias = "--jobs"},
+    {.name = "--cache", .number = &O::cache_capacity, .lo = 1,
+     .need = "a positive capacity"},
+    {.name = "--metrics", .text = &O::metrics_path},
+    {.name = "--port", .number = &O::port, .lo = 0, .hi = 65535,
+     .need = "0..65535"},
+    {.name = "--max-queue", .number = &O::max_queue, .lo = 1,
+     .need = "a positive bound"},
+    {.name = "--deadline-ms", .number = &O::deadline_ms, .lo = 0,
+     .need = "a non-negative value"},
+    {.name = "--shards", .number = &O::shards, .lo = 1,
+     .need = "a positive count"},
+    {.name = "--cache-dir", .text = &O::cache_dir},
+    {.name = "--cache-budget-mb", .number = &O::cache_budget_mb, .lo = 1,
+     .need = "a positive size"},
+    {.name = "--seed",
+     .apply = [](O& o, const FlagArg& a) {
+       o.fuzz_seed = a.parsed(
+           [](auto& s, auto* u) { return std::stoull(s, u); },
+           "an unsigned integer");
+     }},
+    {.name = "--cases", .number = &O::fuzz_cases, .lo = 1,
+     .need = "a positive count"},
+    {.name = "--fixed-width", .on = &O::fuzz_fixed_width},
+    {.name = "--no-minimize", .on = &O::fuzz_no_minimize},
+    {.name = "--large-shapes", .on = &O::fuzz_large_shapes},
+    {.name = "--max-reports", .number = &O::fuzz_max_reports, .lo = 0,
+     .need = "a non-negative count"},
+    {.name = "--progress", .number = &O::fuzz_progress, .lo = 0,
+     .need = "a non-negative interval"},
+    {.name = "--out", .text = &O::fuzz_out},
+    {.name = "--replay", .text = &O::fuzz_replay},
+    // Intentionally undocumented: the fuzzing self-test (CI asserts the
+    // harness catches and minimizes a deliberately broken binding).
+    {.name = "--inject-binding-bug", .on = &O::fuzz_inject_binding_bug},
+};
+
+const Flag* find_flag(std::string_view spelling) {
+  for (const Flag& f : kFlags) {
+    if (spelling == f.name || (f.alias != nullptr && spelling == f.alias)) {
+      return &f;
+    }
+  }
+  return nullptr;
+}
+
+/// Whether the space-separated `list` names `flag`.
+bool lists(std::string_view list, std::string_view flag) {
+  while (!list.empty()) {
+    const std::size_t sp = list.find(' ');
+    if (list.substr(0, sp) == flag) return true;
+    if (sp == std::string_view::npos) break;
+    list.remove_prefix(sp + 1);
+  }
+  return false;
+}
+
+bool accepts(const Command& cmd, const Flag& flag) {
+  return lists(cmd.flags, flag.name) ||
+         (cmd.observed && lists(kObservabilityFlags, flag.name));
+}
+
+/// Positionals first ("-" counts as one: stdin), then flags.
+CliOptions parse_args(const Command& cmd, int argc, char** argv) {
   CliOptions opts;
-  if (argc < 2) usage("missing command");
-  opts.command = argv[1];
   int i = 2;
-  if (opts.command == "synth") {
-    // The design file is optional here: `synth --resume-from snap.json`
-    // carries the design inside the snapshot.  Anything starting with
-    // "--" is a flag, not the positional argument.
-    if (i < argc && std::string_view(argv[i]).substr(0, 2) != "--") {
-      opts.target = argv[i++];
-    }
-  } else if (opts.command == "compare" || opts.command == "bench" ||
-             opts.command == "schedule" || opts.command == "optimize" ||
-             opts.command == "batch" || opts.command == "client" ||
-             opts.command == "explore" || opts.command == "metrics") {
-    if (i >= argc) usage("missing argument for " + opts.command);
-    opts.target = argv[i++];
+  auto positional = [](std::string_view a) {
+    return a == "-" || a.substr(0, 1) != "-";
+  };
+  while (i < argc && static_cast<int>(opts.args.size()) < cmd.max_args &&
+         positional(argv[i])) {
+    opts.args.emplace_back(argv[i++]);
   }
-  if (opts.command == "client") {
-    if (i >= argc) usage("client needs <host:port> <jobs.jsonl|->");
-    opts.target2 = argv[i++];
-  }
-  auto need_value = [&](const std::string& flag) {
-    if (i >= argc) usage("missing value for " + flag);
-    return std::string(argv[i++]);
-  };
-  auto need_int = [&](const std::string& flag) {
-    const std::string v = need_value(flag);
-    try {
-      std::size_t used = 0;
-      const int n = std::stoi(v, &used);
-      if (used != v.size()) throw std::invalid_argument(v);
-      return n;
-    } catch (const std::exception&) {
-      usage("flag " + flag + " needs an integer, got: " + v);
-    }
-  };
-  auto need_double = [&](const std::string& flag) {
-    const std::string v = need_value(flag);
-    try {
-      std::size_t used = 0;
-      const double d = std::stod(v, &used);
-      if (used != v.size()) throw std::invalid_argument(v);
-      return d;
-    } catch (const std::exception&) {
-      usage("flag " + flag + " needs a number, got: " + v);
-    }
-  };
   while (i < argc) {
-    const std::string flag = argv[i++];
-    if (flag == "--modules") {
-      opts.modules = need_value(flag);
-    } else if (flag == "--binder") {
-      opts.binder = need_value(flag);
-      opts.binder_given = true;
-    } else if (flag == "--width") {
-      opts.width = need_int(flag);
-    } else if (flag == "--patterns") {
-      opts.patterns = need_int(flag);
-    } else if (flag == "--dot") {
-      opts.dot = true;
-    } else if (flag == "--verilog") {
-      opts.verilog = true;
-    } else if (flag == "--plan") {
-      opts.plan = true;
-    } else if (flag == "--selftest") {
-      opts.selftest = true;
-    } else if (flag == "--testbench") {
-      opts.testbench = true;
-    } else if (flag == "--bist-verilog") {
-      opts.bist_verilog = true;
-    } else if (flag == "--json") {
-      opts.json = true;
-    } else if (flag == "--vcd") {
-      opts.vcd = true;
-    } else if (flag == "--ctrl-verilog") {
-      opts.ctrl_verilog = true;
-    } else if (flag == "--coverage") {
-      opts.coverage_target = need_double(flag);
-    } else if (flag == "--fu") {
-      opts.fu.push_back(need_value(flag));
-    } else if (flag == "--latency") {
-      opts.latency = need_int(flag);
-    } else if (flag == "--decisions") {
-      opts.decisions = true;
-    } else if (flag == "--dump-ir") {
-      opts.dump_ir = need_value(flag);
-    } else if (flag == "--ir-out") {
-      opts.ir_out = need_value(flag);
-    } else if (flag == "--resume-from") {
-      opts.resume_from = need_value(flag);
-    } else if (flag == "--checkpoint") {
-      opts.checkpoint = need_value(flag);
-    } else if (flag == "--pareto") {
-      opts.pareto = need_value(flag);
-    } else if (flag == "--trace") {
-      opts.trace_path = need_value(flag);
-    } else if (flag == "--trace-events") {
-      opts.trace_events_path = need_value(flag);
-    } else if (flag == "--profile") {
-      opts.profile_path = need_value(flag);
-    } else if (flag == "--profile-hz") {
-      const int n = need_int(flag);
-      if (n < 1 || n > 10000) usage("flag --profile-hz needs 1..10000");
-      opts.profile_hz = n;
-    } else if (flag == "--slow-ms") {
-      const int n = need_int(flag);
-      if (n < 0) usage("flag --slow-ms needs a non-negative threshold");
-      opts.slow_ms = n;
-    } else if (flag == "--prom") {
-      opts.prom = true;
-    } else if (flag == "-j" || flag == "--jobs") {
-      opts.jobs = need_int(flag);
-    } else if (flag == "--cache") {
-      const int n = need_int(flag);
-      if (n < 1) usage("flag --cache needs a positive capacity");
-      opts.cache_capacity = static_cast<std::size_t>(n);
-    } else if (flag == "--metrics") {
-      opts.metrics_path = need_value(flag);
-    } else if (flag == "--port") {
-      const int p = need_int(flag);
-      if (p < 0 || p > 65535) usage("flag --port needs 0..65535");
-      opts.port = p;
-    } else if (flag == "--max-queue") {
-      const int n = need_int(flag);
-      if (n < 1) usage("flag --max-queue needs a positive bound");
-      opts.max_queue = static_cast<std::size_t>(n);
-    } else if (flag == "--deadline-ms") {
-      const int n = need_int(flag);
-      if (n < 0) usage("flag --deadline-ms needs a non-negative value");
-      opts.deadline_ms = n;
-    } else if (flag == "--shards") {
-      const int n = need_int(flag);
-      if (n < 1) usage("flag --shards needs a positive count");
-      opts.shards = n;
-    } else if (flag == "--cache-dir") {
-      opts.cache_dir = need_value(flag);
-    } else if (flag == "--cache-budget-mb") {
-      const int n = need_int(flag);
-      if (n < 1) usage("flag --cache-budget-mb needs a positive size");
-      opts.cache_budget_mb = n;
-    } else if (flag == "--seed") {
-      const std::string v = need_value(flag);
-      try {
-        std::size_t used = 0;
-        opts.fuzz_seed = std::stoull(v, &used);
-        if (used != v.size()) throw std::invalid_argument(v);
-      } catch (const std::exception&) {
-        usage("flag --seed needs an unsigned integer, got: " + v);
-      }
-    } else if (flag == "--cases") {
-      const int n = need_int(flag);
-      if (n < 1) usage("flag --cases needs a positive count");
-      opts.fuzz_cases = n;
-    } else if (flag == "--fixed-width") {
-      opts.fuzz_fixed_width = true;
-    } else if (flag == "--no-minimize") {
-      opts.fuzz_no_minimize = true;
-    } else if (flag == "--large-shapes") {
-      opts.fuzz_large_shapes = true;
-    } else if (flag == "--max-reports") {
-      const int n = need_int(flag);
-      if (n < 0) usage("flag --max-reports needs a non-negative count");
-      opts.fuzz_max_reports = n;
-    } else if (flag == "--progress") {
-      const int n = need_int(flag);
-      if (n < 0) usage("flag --progress needs a non-negative interval");
-      opts.fuzz_progress = n;
-    } else if (flag == "--out") {
-      opts.fuzz_out = need_value(flag);
-    } else if (flag == "--replay") {
-      opts.fuzz_replay = need_value(flag);
-    } else if (flag == "--inject-binding-bug") {
-      // Intentionally undocumented: the fuzzing self-test (CI asserts the
-      // harness catches and minimizes a deliberately broken binding).
-      opts.fuzz_inject_binding_bug = true;
-    } else if (flag == "--help" || flag == "-h") {
-      usage();
+    const std::string_view spelling = argv[i++];
+    if (spelling == "--help" || spelling == "-h") usage();
+    const Flag* flag = find_flag(spelling);
+    if (flag == nullptr) {
+      usage((positional(spelling) ? "unexpected argument: "
+                                   : "unknown flag: ") +
+            std::string(spelling));
+    }
+    if (!accepts(cmd, *flag)) {
+      usage(std::string(cmd.name) + " does not take " + std::string(spelling));
+    }
+    if (flag->on != nullptr) {
+      opts.*flag->on = true;
+      continue;
+    }
+    if (i >= argc || std::string_view(argv[i]).substr(0, 2) == "--") {
+      usage("missing value for " + std::string(spelling));
+    }
+    const FlagArg arg{spelling, argv[i++]};
+    if (flag->text != nullptr) {
+      opts.*flag->text = arg.value;
+    } else if (flag->number != nullptr) {
+      const int n = arg.integer();
+      if (n < flag->lo || n > flag->hi) arg.fail(flag->need);
+      opts.*flag->number = n;
     } else {
-      usage("unknown flag: " + flag);
+      flag->apply(opts, arg);
     }
   }
-  if (opts.profile_path.has_value() && opts.command != "synth" &&
-      opts.command != "batch" && opts.command != "explore" &&
-      opts.command != "serve") {
-    usage("--profile is supported on synth|batch|explore|serve");
+  if (static_cast<int>(opts.args.size()) < cmd.min_args) {
+    usage(std::string(cmd.name) + " needs " + cmd.args);
   }
   return opts;
 }
+
+// ---- Shared helpers -------------------------------------------------------
 
 /// --profile: arms the span-attributed sampling profiler around one
 /// command; write() (after the command returns) disarms it and emits the
@@ -475,6 +438,20 @@ class ProfileScope {
   bool active_ = false;
 };
 
+/// Opens `path` for writing or throws "cannot write <what>: <path>".
+std::ofstream open_output(const std::string& path, const char* what) {
+  std::ofstream out(path);
+  if (!out) throw Error(std::string("cannot write ") + what + ": " + path);
+  return out;
+}
+
+/// Writes a metrics dump stamped with the writing build, so archived
+/// metrics stay attributable (prometheus conversion ignores the key).
+void write_metrics(const std::string& path, const MetricsRegistry& metrics) {
+  open_output(path, "metrics")
+      << metrics.to_json().set("build", build_info_json()).dump() << "\n";
+}
+
 /// Observability sinks requested via --trace / --trace-events.  Built
 /// up-front, threaded through the command, flushed with write() at the end.
 struct ObsSinks {
@@ -497,42 +474,113 @@ struct ObsSinks {
 
   void write(const CliOptions& cli) const {
     if (trace != nullptr) {
-      std::ofstream out(*cli.trace_path);
-      if (!out) throw Error("cannot write trace: " + *cli.trace_path);
+      std::ofstream out = open_output(*cli.trace_path, "trace");
       trace->write_chrome(out);
     }
     if (events != nullptr) {
-      std::ofstream out(*cli.trace_events_path);
-      if (!out) {
-        throw Error("cannot write events: " + *cli.trace_events_path);
-      }
+      std::ofstream out = open_output(*cli.trace_events_path, "events");
       events->write_jsonl(out);
     }
   }
 };
 
-ParsedDfg load_design(const std::string& path) {
+std::string read_file(const std::string& path, const std::string& what) {
   std::ifstream in(path);
-  if (!in) throw Error("cannot open file: " + path);
+  if (!in) throw Error("cannot open " + what + ": " + path);
   std::ostringstream buf;
   buf << in.rdbuf();
-  return parse_dfg(buf.str());
+  return buf.str();
 }
 
-BinderKind binder_from_name(const std::string& name) {
-  if (name == "trad") return BinderKind::Traditional;
-  if (name == "bist") return BinderKind::BistAware;
-  if (name == "ralloc") return BinderKind::Ralloc;
-  if (name == "syntest") return BinderKind::Syntest;
-  if (name == "clique") return BinderKind::CliquePartition;
-  if (name == "loop") return BinderKind::LoopAware;
-  usage("unknown binder: " + name);
+/// Reads a manifest (or snapshot, or metrics dump) from a path, or from
+/// stdin when the path is "-".
+std::string read_manifest(const std::string& path) {
+  if (path != "-") return read_file(path, "manifest");
+  std::ostringstream buf;
+  buf << std::cin.rdbuf();
+  return buf.str();
 }
 
-std::string read_manifest(const std::string& path);
+ParsedDfg load_design(const std::string& path) {
+  return parse_dfg(read_file(path, "file"));
+}
+
+ParsedDfg load_scheduled(const std::string& path) {
+  ParsedDfg design = load_design(path);
+  if (!design.schedule.has_value()) {
+    throw Error("design has no @step annotations; schedule it first");
+  }
+  return design;
+}
+
+/// The library's short-name parser, with its error as a usage error.
+BinderKind binder_arg(const std::string& name) {
+  try {
+    return binder_from_short_name(name);
+  } catch (const Error& e) {
+    usage(e.what());
+  }
+}
+
+std::vector<std::string> split_list(const std::string& s, char sep) {
+  std::vector<std::string> parts;
+  std::istringstream in(s);
+  std::string part;
+  while (std::getline(in, part, sep)) {
+    if (!part.empty()) parts.push_back(part);
+  }
+  return parts;
+}
+
+/// --binder K[,K]: replaces the sweep's default binders when given.
+void apply_binder_list(const CliOptions& cli,
+                       std::vector<BinderKind>* binders) {
+  if (!cli.binder.has_value()) return;
+  binders->clear();
+  for (const std::string& name : split_list(*cli.binder, ',')) {
+    binders->push_back(binder_arg(name));
+  }
+  if (binders->empty()) usage("--binder gave no binders");
+}
+
+/// The minimal one-of-each module spec of a scheduled design ("1+,1*").
+std::string default_spec(const ParsedDfg& design) {
+  std::string spec;
+  for (const auto& p : minimal_module_spec(design.dfg, *design.schedule)) {
+    if (!spec.empty()) spec += ",";
+    spec += "1" + p.label();
+  }
+  return spec;
+}
+
+/// --modules "S1;S2;...", or the default spec alone.
+std::vector<std::string> module_specs(const CliOptions& cli,
+                                      const ParsedDfg& design) {
+  if (!cli.modules.has_value()) return {default_spec(design)};
+  std::vector<std::string> specs = split_list(*cli.modules, ';');
+  if (specs.empty()) usage("--modules gave no specs");
+  return specs;
+}
+
+/// Adds one "<count><symbol>" functional-unit budget such as "2*".
+void add_fu_budget(const std::string& part, const char* expects,
+                   ResourceLimits* limits) {
+  const std::string digits = part.substr(0, part.size() - 1);
+  std::size_t used = 0;
+  int count = 0;
+  try {
+    count = std::stoi(digits, &used);
+  } catch (const std::exception&) {
+  }
+  LBIST_CHECK(part.size() >= 2 && used == digits.size(),
+              std::string("--fu expects ") + expects);
+  (*limits)[kind_from_symbol(part.substr(part.size() - 1))] = count;
+}
+
+// ---- Commands -------------------------------------------------------------
 
 int cmd_synth(const CliOptions& cli) {
-  if (cli.target.empty() && !cli.resume_from.has_value()) {
+  if (cli.args.empty() && !cli.resume_from.has_value()) {
     usage("synth needs a design file or --resume-from");
   }
   ObsSinks obs = ObsSinks::from_cli(cli);
@@ -543,7 +591,7 @@ int cmd_synth(const CliOptions& cli) {
   std::optional<ParsedDfg> design;  // keeps the live path's DFG alive
   std::optional<SynthState> state;
   if (cli.resume_from.has_value()) {
-    if (!cli.target.empty()) {
+    if (!cli.args.empty()) {
       usage("--resume-from replaces the design file argument");
     }
     // The snapshot's recorded options win over --binder/--width: resumed
@@ -551,15 +599,12 @@ int cmd_synth(const CliOptions& cli) {
     const Json snap = Json::parse(read_manifest(*cli.resume_from));
     state.emplace(pipeline.restore(snap));
   } else {
-    design.emplace(load_design(cli.target));
-    if (!design->schedule.has_value()) {
-      throw Error("design has no @step annotations; schedule it first");
-    }
+    design.emplace(load_scheduled(cli.args[0]));
     auto protos = cli.modules.has_value()
                       ? parse_module_spec(*cli.modules)
                       : minimal_module_spec(design->dfg, *design->schedule);
     SynthesisOptions fresh;
-    fresh.binder = binder_from_name(cli.binder);
+    fresh.binder = binder_arg(cli.binder.value_or("bist"));
     fresh.area.bit_width = cli.width;
     state.emplace(design->dfg, *design->schedule, std::move(protos), fresh);
   }
@@ -569,15 +614,15 @@ int cmd_synth(const CliOptions& cli) {
   const Dfg& dfg = state->dfg();
   const Schedule& sched = state->sched();
   const SynthesisOptions opts = state->options();
+  // Every emitter works at the width the data path was synthesized at.
+  const int width = opts.area.bit_width;
 
   if (cli.decisions && opts.binder == BinderKind::BistAware) {
     auto lt = compute_lifetimes(dfg, sched, opts.lifetime);
     auto cg = build_conflict_graph(dfg, lt);
     auto mb = ModuleBinding::bind(dfg, sched, state->protos());
     std::vector<std::string> trace;
-    auto rb = bind_registers_bist_aware(dfg, cg, mb,
-                                        opts.bist_binder, &trace);
-    (void)rb;
+    (void)bind_registers_bist_aware(dfg, cg, mb, opts.bist_binder, &trace);
     std::cout << "--- binder trace ---\n";
     for (const auto& line : trace) std::cout << "  " << line << "\n";
   }
@@ -590,9 +635,7 @@ int cmd_synth(const CliOptions& cli) {
     pipeline.run(*state, end);
     const std::string text = pipeline.snapshot(*state).dump() + "\n";
     if (cli.ir_out.has_value()) {
-      std::ofstream out(*cli.ir_out);
-      if (!out) throw Error("cannot write snapshot: " + *cli.ir_out);
-      out << text;
+      open_output(*cli.ir_out, "snapshot") << text;
     } else {
       std::cout << text;
     }
@@ -610,8 +653,8 @@ int cmd_synth(const CliOptions& cli) {
   }
   int patterns = cli.patterns;
   if (cli.coverage_target.has_value()) {
-    auto budgets = find_test_lengths(result.datapath, cli.width,
-                                     *cli.coverage_target);
+    auto budgets =
+        find_test_lengths(result.datapath, width, *cli.coverage_target);
     patterns = budgets.recommended_patterns;
     std::cout << "pattern budget for " << 100.0 * *cli.coverage_target
               << "% coverage: " << patterns
@@ -619,119 +662,56 @@ int cmd_synth(const CliOptions& cli) {
               << "\n";
   }
   if (cli.plan) {
-    TestPlan plan = build_test_plan(result.datapath, result.bist,
-                                    patterns, cli.width);
+    TestPlan plan =
+        build_test_plan(result.datapath, result.bist, patterns, width);
     std::cout << plan.describe(result.datapath);
   }
   if (cli.selftest) {
-    auto st = run_self_test(result.datapath, result.bist, patterns,
-                            cli.width);
+    auto st = run_self_test(result.datapath, result.bist, patterns, width);
     std::cout << "chip-level self-test: " << st.faults_detected << "/"
               << st.faults_injected << " port faults detected ("
               << fmt_double(100.0 * st.coverage(), 1) << "%)\n";
   }
   if (cli.bist_verilog) {
-    auto st = run_self_test(result.datapath, result.bist, cli.patterns,
-                            cli.width);
-    std::cout << emit_bist_verilog(result.datapath, result.bist, st,
-                                   cli.patterns, cli.width);
+    auto st = run_self_test(result.datapath, result.bist, patterns, width);
+    std::cout << emit_bist_verilog(result.datapath, result.bist, st, patterns,
+                                   width);
   }
   if (cli.dot) std::cout << result.datapath.to_dot();
-  if (cli.verilog) {
-    std::cout << emit_verilog(result.datapath, cli.width);
-  }
-  if (cli.ctrl_verilog) {
-    auto lt = compute_lifetimes(dfg, sched, opts.lifetime);
-    auto ctl = Controller::generate(dfg, sched,
-                                    result.registers, result.datapath, lt);
-    std::cout << emit_controller_verilog(result.datapath, ctl);
-  }
-  if (cli.vcd) {
-    auto lt = compute_lifetimes(dfg, sched, opts.lifetime);
-    auto ctl = Controller::generate(dfg, sched,
-                                    result.registers, result.datapath, lt);
-    IdMap<VarId, std::uint32_t> inputs(dfg.num_vars(), 0);
-    std::uint32_t next = 1;
-    for (const auto& v : dfg.vars()) {
-      if (v.is_input()) inputs[v.id] = next++;
+  if (cli.verilog) std::cout << emit_verilog(result.datapath, width);
+  if (cli.ctrl_verilog || cli.vcd || cli.testbench) {
+    const Controller ctl = Controller::generate(
+        dfg, sched, result.registers, result.datapath, result.lifetimes);
+    if (cli.ctrl_verilog) {
+      std::cout << emit_controller_verilog(result.datapath, ctl);
     }
-    auto sim = simulate_datapath(dfg, result.datapath, ctl, inputs,
-                                 cli.width);
-    std::cout << emit_vcd(result.datapath, sim, cli.width);
-  }
-  if (cli.testbench) {
-    auto lt = compute_lifetimes(dfg, sched, opts.lifetime);
-    auto ctl = Controller::generate(dfg, sched,
-                                    result.registers, result.datapath, lt);
-    // Deterministic example stimulus: input i gets value i+1.
-    IdMap<VarId, std::uint32_t> inputs(dfg.num_vars(), 0);
-    std::uint32_t next = 1;
-    for (const auto& v : dfg.vars()) {
-      if (v.is_input()) inputs[v.id] = next++;
+    if (cli.vcd || cli.testbench) {
+      // Deterministic example stimulus: input i gets value i+1.
+      IdMap<VarId, std::uint32_t> inputs(dfg.num_vars(), 0);
+      std::uint32_t next = 1;
+      for (const auto& v : dfg.vars()) {
+        if (v.is_input()) inputs[v.id] = next++;
+      }
+      auto sim = simulate_datapath(dfg, result.datapath, ctl, inputs, width);
+      if (cli.vcd) std::cout << emit_vcd(result.datapath, sim, width);
+      if (cli.testbench) {
+        LBIST_CHECK(sim.ok(), "internal error: simulation mismatch");
+        std::cout << emit_testbench(dfg, result.datapath, ctl, inputs, sim,
+                                    width);
+      }
     }
-    auto sim = simulate_datapath(dfg, result.datapath, ctl, inputs,
-                                 cli.width);
-    LBIST_CHECK(sim.ok(), "internal error: simulation mismatch");
-    std::cout << emit_testbench(dfg, result.datapath, ctl, inputs,
-                                sim, cli.width);
   }
   rtl_span.finish();
   obs.write(cli);
   return 0;
 }
 
-int cmd_optimize(const CliOptions& cli) {
-  ParsedDfg design = load_design(cli.target);
-  auto cse = eliminate_common_subexpressions(design.dfg);
-  auto clean = remove_dead_code(cse.dfg);
-  for (const auto& name : cse.removed_ops) {
-    std::cerr << "# merged duplicate: " << name << "\n";
-  }
-  for (const auto& name : clean.removed_ops) {
-    std::cerr << "# removed dead op: " << name << "\n";
-  }
-  std::cout << print_dfg(clean.dfg);
-  return 0;
-}
-
-int cmd_schedule(const CliOptions& cli) {
-  ParsedDfg design = load_design(cli.target);
-  if (design.schedule.has_value()) {
-    std::cout << print_dfg(design.dfg, &*design.schedule);
-    return 0;
-  }
-  Schedule sched = [&] {
-    if (cli.latency.has_value()) {
-      return force_directed_schedule(design.dfg, *cli.latency);
-    }
-    ResourceLimits limits;
-    for (const std::string& fu : cli.fu) {
-      LBIST_CHECK(fu.size() >= 2, "--fu expects e.g. \"2*\"");
-      const int count = std::stoi(fu.substr(0, fu.size() - 1));
-      limits[kind_from_symbol(fu.substr(fu.size() - 1))] = count;
-    }
-    return list_schedule(design.dfg, limits);
-  }();
-  std::cout << print_dfg(design.dfg, &sched);
-  return 0;
-}
-
 int cmd_compare(const CliOptions& cli) {
-  ParsedDfg design = load_design(cli.target);
-  if (!design.schedule.has_value()) {
-    throw Error("design has no @step annotations; schedule it first");
-  }
-  std::string spec;
-  if (cli.modules.has_value()) {
-    spec = *cli.modules;
-  } else {
-    for (const auto& p :
-         minimal_module_spec(design.dfg, *design.schedule)) {
-      if (!spec.empty()) spec += ",";
-      spec += "1" + p.label();
-    }
-  }
-  Benchmark bench{cli.target, std::move(design), std::move(spec)};
+  const std::string& path = cli.args[0];
+  ParsedDfg design = load_scheduled(path);
+  std::string spec = cli.modules.has_value() ? *cli.modules
+                                             : default_spec(design);
+  Benchmark bench{path, std::move(design), std::move(spec)};
 
   AreaModel model;
   model.bit_width = cli.width;
@@ -782,31 +762,57 @@ int cmd_tables(const CliOptions& cli) {
   return 0;
 }
 
-Benchmark builtin_benchmark(const std::string& name) {
-  if (name == "ex1") return make_ex1();
-  if (name == "ex2") return make_ex2();
-  if (name == "tseng") return make_tseng1();
-  if (name == "paulin") return make_paulin();
-  usage("unknown benchmark: " + name);
+int cmd_bench(const CliOptions& cli) {
+  const Benchmark bench = [&] {
+    try {
+      return builtin_benchmark(cli.args[0]);
+    } catch (const Error& e) {
+      usage(e.what());
+    }
+  }();
+  std::cout << "# module spec: " << bench.module_spec << "\n"
+            << print_dfg(bench.design.dfg, &*bench.design.schedule);
+  return 0;
 }
 
-/// Reads a job manifest from a path, or from stdin when the path is "-"
-/// (so shell pipelines and the server client can feed jobs directly).
-std::string read_manifest(const std::string& path) {
-  std::ostringstream buf;
-  if (path == "-") {
-    buf << std::cin.rdbuf();
-  } else {
-    std::ifstream in(path);
-    if (!in) throw Error("cannot open manifest: " + path);
-    buf << in.rdbuf();
+int cmd_schedule(const CliOptions& cli) {
+  ParsedDfg design = load_design(cli.args[0]);
+  if (design.schedule.has_value()) {
+    std::cout << print_dfg(design.dfg, &*design.schedule);
+    return 0;
   }
-  return buf.str();
+  Schedule sched = [&] {
+    if (cli.latency.has_value()) {
+      return force_directed_schedule(design.dfg, *cli.latency);
+    }
+    ResourceLimits limits;
+    for (const std::string& fu : cli.fu) {
+      add_fu_budget(fu, "e.g. \"2*\"", &limits);
+    }
+    return list_schedule(design.dfg, limits);
+  }();
+  std::cout << print_dfg(design.dfg, &sched);
+  return 0;
+}
+
+int cmd_optimize(const CliOptions& cli) {
+  ParsedDfg design = load_design(cli.args[0]);
+  auto cse = eliminate_common_subexpressions(design.dfg);
+  auto clean = remove_dead_code(cse.dfg);
+  for (const auto& name : cse.removed_ops) {
+    std::cerr << "# merged duplicate: " << name << "\n";
+  }
+  for (const auto& name : clean.removed_ops) {
+    std::cerr << "# removed dead op: " << name << "\n";
+  }
+  std::cout << print_dfg(clean.dfg);
+  return 0;
 }
 
 int cmd_batch(const CliOptions& cli) {
-  const auto entries = parse_manifest(read_manifest(cli.target));
-  if (entries.empty()) throw Error("manifest has no jobs: " + cli.target);
+  const std::string& path = cli.args[0];
+  const auto entries = parse_manifest(read_manifest(path));
+  if (entries.empty()) throw Error("manifest has no jobs: " + path);
 
   MetricsRegistry metrics;
   ObsSinks obs = ObsSinks::from_cli(cli, &metrics);
@@ -816,20 +822,14 @@ int cmd_batch(const CliOptions& cli) {
   AlgorithmEvents counters_only(&metrics, /*keep_events=*/false);
   BatchOptions opts;
   opts.jobs = cli.jobs;
-  opts.cache_capacity = cli.cache_capacity;
+  opts.cache_capacity = static_cast<std::size_t>(cli.cache_capacity);
   opts.metrics = &metrics;
   opts.trace = obs.trace.get();
   opts.events = obs.events != nullptr ? obs.events.get() : &counters_only;
   const BatchSummary summary = run_batch(entries, opts, std::cout);
   obs.write(cli);
 
-  if (cli.metrics_path.has_value()) {
-    std::ofstream mout(*cli.metrics_path);
-    if (!mout) throw Error("cannot write metrics: " + *cli.metrics_path);
-    // Stamp the dump with the writing build so archived metrics stay
-    // attributable; prometheus conversion ignores the extra key.
-    mout << metrics.to_json().set("build", build_info_json()).dump() << "\n";
-  }
+  if (cli.metrics_path.has_value()) write_metrics(*cli.metrics_path, metrics);
   std::cerr << "batch: " << summary.ok << "/" << summary.total << " ok, "
             << summary.errors << " errors, " << summary.cache_hits
             << " cache hits\n";
@@ -845,11 +845,11 @@ int cmd_serve(const CliOptions& cli) {
   ServerOptions opts;
   opts.port = static_cast<std::uint16_t>(cli.port);
   opts.jobs = cli.jobs;
-  opts.cache_capacity = cli.cache_capacity;
-  opts.max_queue = cli.max_queue;
+  opts.cache_capacity = static_cast<std::size_t>(cli.cache_capacity);
+  opts.max_queue = static_cast<std::size_t>(cli.max_queue);
   opts.deadline_ms = cli.deadline_ms;
   opts.shards = cli.shards;
-  opts.cache_dir = cli.cache_dir;
+  opts.cache_dir = cli.cache_dir.value_or("");
   opts.cache_budget_bytes =
       static_cast<std::uint64_t>(cli.cache_budget_mb) << 20;
   opts.handle_signals = true;
@@ -867,13 +867,11 @@ int cmd_serve(const CliOptions& cli) {
   server.start();
   server.wait();  // until SIGINT/SIGTERM; drains in-flight requests
   if (cli.metrics_path.has_value()) {
-    std::ofstream mout(*cli.metrics_path);
-    if (!mout) throw Error("cannot write metrics: " + *cli.metrics_path);
-    mout << server.metrics().to_json().dump() << "\n";
+    open_output(*cli.metrics_path, "metrics")
+        << server.metrics().to_json().dump() << "\n";
   }
   if (cli.trace_events_path.has_value()) {
-    std::ofstream out(*cli.trace_events_path);
-    if (!out) throw Error("cannot write events: " + *cli.trace_events_path);
+    std::ofstream out = open_output(*cli.trace_events_path, "events");
     server.events().write_jsonl(out);
   }
   return 0;
@@ -882,8 +880,8 @@ int cmd_serve(const CliOptions& cli) {
 int cmd_client(const CliOptions& cli) {
   std::string host;
   std::uint16_t port = 0;
-  parse_host_port(cli.target, &host, &port);
-  const std::string manifest = read_manifest(cli.target2);
+  parse_host_port(cli.args[0], &host, &port);
+  const std::string manifest = read_manifest(cli.args[1]);
   const ClientSummary summary = run_client(host, port, manifest, std::cout);
   std::cerr << "client: " << summary.responses << " responses, " << summary.ok
             << " ok, " << summary.errors << " errors\n";
@@ -892,11 +890,8 @@ int cmd_client(const CliOptions& cli) {
 
 int cmd_fuzz(const CliOptions& cli) {
   if (cli.fuzz_replay.has_value()) {
-    std::ifstream in(*cli.fuzz_replay);
-    if (!in) throw Error("cannot open corpus file: " + *cli.fuzz_replay);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const CorpusEntry entry = parse_corpus(buf.str());
+    const CorpusEntry entry =
+        parse_corpus(read_file(*cli.fuzz_replay, "corpus file"));
     const OracleVerdict verdict =
         replay_corpus_entry(entry, cli.fuzz_inject_binding_bug);
     if (verdict.ok()) {
@@ -943,28 +938,6 @@ int cmd_fuzz(const CliOptions& cli) {
   return summary.ok() ? 0 : 1;
 }
 
-std::vector<std::string> split_list(const std::string& s, char sep) {
-  std::vector<std::string> parts;
-  std::istringstream in(s);
-  std::string part;
-  while (std::getline(in, part, sep)) {
-    if (!part.empty()) parts.push_back(part);
-  }
-  return parts;
-}
-
-const char* binder_label(BinderKind kind) {
-  switch (kind) {
-    case BinderKind::Traditional: return "trad";
-    case BinderKind::BistAware: return "bist";
-    case BinderKind::Ralloc: return "ralloc";
-    case BinderKind::Syntest: return "syntest";
-    case BinderKind::CliquePartition: return "clique";
-    case BinderKind::LoopAware: return "loop";
-  }
-  return "?";
-}
-
 /// `explore --pareto bist`: the hybrid-BIST sweep grading every
 /// (module spec, binder, test configuration) point on BIST area, gate-level
 /// fault coverage and total test length at once (docs/hybrid-bist.md).
@@ -988,30 +961,10 @@ int cmd_explore_hybrid(const CliOptions& cli, const ParsedDfg& design) {
   opts.jobs = cli.jobs;
   opts.trace = obs.trace.get();
   opts.metrics = cli.metrics_path.has_value() ? &metrics : nullptr;
-  if (cli.binder_given) {
-    opts.binders.clear();
-    for (const std::string& name : split_list(cli.binder, ',')) {
-      opts.binders.push_back(binder_from_name(name));
-    }
-    if (opts.binders.empty()) usage("--binder gave no binders");
-  }
+  apply_binder_list(cli, &opts.binders);
 
-  std::vector<std::string> specs;
-  if (cli.modules.has_value()) {
-    specs = split_list(*cli.modules, ';');
-    if (specs.empty()) usage("--modules gave no specs");
-  } else {
-    std::string spec;
-    for (const auto& p :
-         minimal_module_spec(design.dfg, *design.schedule)) {
-      if (!spec.empty()) spec += ",";
-      spec += "1" + p.label();
-    }
-    specs.push_back(std::move(spec));
-  }
-
-  const std::vector<HybridPoint> points =
-      explore_hybrid(design.dfg, *design.schedule, specs, opts);
+  const std::vector<HybridPoint> points = explore_hybrid(
+      design.dfg, *design.schedule, module_specs(cli, design), opts);
 
   if (cli.json) {
     Json out = hybrid_points_json(points);
@@ -1022,17 +975,13 @@ int cmd_explore_hybrid(const CliOptions& cli, const ParsedDfg& design) {
   } else {
     std::cout << describe_hybrid_points(points);
   }
-  if (cli.metrics_path.has_value()) {
-    std::ofstream mout(*cli.metrics_path);
-    if (!mout) throw Error("cannot write metrics: " + *cli.metrics_path);
-    mout << metrics.to_json().set("build", build_info_json()).dump() << "\n";
-  }
+  if (cli.metrics_path.has_value()) write_metrics(*cli.metrics_path, metrics);
   obs.write(cli);
   return 0;
 }
 
 int cmd_explore(const CliOptions& cli) {
-  ParsedDfg design = load_design(cli.target);
+  ParsedDfg design = load_design(cli.args[0]);
   if (cli.pareto.has_value()) return cmd_explore_hybrid(cli, design);
   ObsSinks obs = ObsSinks::from_cli(cli);
   ExplorerOptions opts;
@@ -1041,13 +990,7 @@ int cmd_explore(const CliOptions& cli) {
   opts.trace = obs.trace.get();
   opts.events = obs.events.get();
   if (cli.checkpoint.has_value()) opts.checkpoint = *cli.checkpoint;
-  if (cli.binder_given) {
-    opts.binders.clear();
-    for (const std::string& name : split_list(cli.binder, ',')) {
-      opts.binders.push_back(binder_from_name(name));
-    }
-    if (opts.binders.empty()) usage("--binder gave no binders");
-  }
+  apply_binder_list(cli, &opts.binders);
 
   std::vector<DesignPoint> points;
   if (design.schedule.has_value()) {
@@ -1056,28 +999,14 @@ int cmd_explore(const CliOptions& cli) {
           "--fu sweeps unscheduled designs; this one has @step annotations"
           " (use --modules \"S1;S2;...\")");
     }
-    std::vector<std::string> specs;
-    if (cli.modules.has_value()) {
-      specs = split_list(*cli.modules, ';');
-      if (specs.empty()) usage("--modules gave no specs");
-    } else {
-      std::string spec;
-      for (const auto& p :
-           minimal_module_spec(design.dfg, *design.schedule)) {
-        if (!spec.empty()) spec += ",";
-        spec += "1" + p.label();
-      }
-      specs.push_back(std::move(spec));
-    }
-    points = explore_module_specs(design.dfg, *design.schedule, specs, opts);
+    points = explore_module_specs(design.dfg, *design.schedule,
+                                  module_specs(cli, design), opts);
   } else {
     std::vector<ResourceLimits> budgets;
     for (const std::string& fu : cli.fu) {
       ResourceLimits limits;
       for (const std::string& part : split_list(fu, ',')) {
-        LBIST_CHECK(part.size() >= 2, "--fu expects e.g. \"2*\" or \"1+,2*\"");
-        const int count = std::stoi(part.substr(0, part.size() - 1));
-        limits[kind_from_symbol(part.substr(part.size() - 1))] = count;
+        add_fu_budget(part, "e.g. \"2*\" or \"1+,2*\"", &limits);
       }
       budgets.push_back(std::move(limits));
     }
@@ -1103,7 +1032,8 @@ int cmd_explore(const CliOptions& cli) {
           std::find(front.begin(), front.end(), i) != front.end();
       arr.push_back(Json::object()
                         .set("label", Json::string(p.label))
-                        .set("binder", Json::string(binder_label(p.binder)))
+                        .set("binder",
+                             Json::string(binder_short_name(p.binder)))
                         .set("latency", Json::number(p.latency))
                         .set("registers", Json::number(p.num_registers))
                         .set("mux", Json::number(p.num_mux))
@@ -1123,7 +1053,7 @@ int cmd_explore(const CliOptions& cli) {
 }
 
 int cmd_metrics(const CliOptions& cli) {
-  const Json dump = Json::parse(read_manifest(cli.target));
+  const Json dump = Json::parse(read_manifest(cli.args[0]));
   if (cli.prom) {
     std::cout << prometheus_exposition(dump);
   } else {
@@ -1141,37 +1071,95 @@ int cmd_version(const CliOptions& cli) {
   return 0;
 }
 
-int cmd_bench(const CliOptions& cli) {
-  Benchmark bench = builtin_benchmark(cli.target);
-  std::cout << "# module spec: " << bench.module_spec << "\n"
-            << print_dfg(bench.design.dfg, &*bench.design.schedule);
-  return 0;
-}
+// ---- The command table ----------------------------------------------------
 
-int run_command(const CliOptions& cli) {
-  if (cli.command == "synth") return cmd_synth(cli);
-  if (cli.command == "compare") return cmd_compare(cli);
-  if (cli.command == "tables") return cmd_tables(cli);
-  if (cli.command == "bench") return cmd_bench(cli);
-  if (cli.command == "schedule") return cmd_schedule(cli);
-  if (cli.command == "optimize") return cmd_optimize(cli);
-  if (cli.command == "batch") return cmd_batch(cli);
-  if (cli.command == "serve") return cmd_serve(cli);
-  if (cli.command == "client") return cmd_client(cli);
-  if (cli.command == "fuzz") return cmd_fuzz(cli);
-  if (cli.command == "explore") return cmd_explore(cli);
-  if (cli.command == "metrics") return cmd_metrics(cli);
-  if (cli.command == "version") return cmd_version(cli);
-  usage("unknown command: " + cli.command);
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"synth", 0, 1, "<design.dfg>",
+       "--modules --binder --width --patterns --coverage --dot --verilog "
+       "--plan --selftest --testbench --bist-verilog --json --vcd "
+       "--ctrl-verilog --decisions --dump-ir --ir-out --resume-from",
+       true,
+       "  lowbist synth <design.dfg> [--modules SPEC] [--binder KIND]\n"
+       "                [--width N] [--patterns N | --coverage T] [--json]\n"
+       "                [--plan] [--selftest] [--dot] [--verilog]\n"
+       "                [--ctrl-verilog] [--bist-verilog] [--testbench]\n"
+       "                [--vcd] [--decisions] [--dump-ir STAGE]\n"
+       "                [--ir-out FILE]\n"
+       "  lowbist synth --resume-from <snap.json|-> [same options]\n",
+       cmd_synth},
+      {"compare", 1, 1, "<design.dfg>", "--modules --width --json", false,
+       "  lowbist compare <design.dfg> [--modules SPEC] [--width N] [--json]\n",
+       cmd_compare},
+      {"tables", 0, 0, "", "--width", false,
+       "  lowbist tables [--width N]\n", cmd_tables},
+      {"bench", 1, 1, "<name>", "", false,
+       "  lowbist bench <ex1|ex2|tseng|tseng1|tseng2|paulin|paulin-loop>\n",
+       cmd_bench},
+      {"schedule", 1, 1, "<design.dfg>", "--fu --latency", false,
+       "  lowbist schedule <design.dfg> [--fu \"2*\"]... [--latency N]\n",
+       cmd_schedule},
+      {"optimize", 1, 1, "<design.dfg>", "", false,
+       "  lowbist optimize <design.dfg>\n", cmd_optimize},
+      {"batch", 1, 1, "<jobs.jsonl|->", "-j --cache --metrics", true,
+       "  lowbist batch <jobs.jsonl|-> [-j N] [--metrics out.json]\n"
+       "                [--cache N]            (\"-\" reads stdin)\n",
+       cmd_batch},
+      {"serve", 0, 0, "",
+       "--port -j --shards --cache --max-queue --deadline-ms --slow-ms "
+       "--cache-dir --cache-budget-mb --metrics",
+       true,
+       "  lowbist serve [--port P] [-j N] [--shards N] [--cache N]\n"
+       "                [--max-queue N] [--deadline-ms N] [--slow-ms N]\n"
+       "                [--cache-dir DIR] [--cache-budget-mb N]\n"
+       "                [--metrics FILE]\n",
+       cmd_serve},
+      {"client", 2, 2, "<host:port> <jobs.jsonl|->", "", false,
+       "  lowbist client <host:port> <jobs.jsonl|->\n", cmd_client},
+      {"fuzz", 0, 0, "",
+       "--seed --cases -j --width --fixed-width --out --no-minimize "
+       "--max-reports --progress --large-shapes --replay "
+       "--inject-binding-bug",
+       false,
+       "  lowbist fuzz [--seed N] [--cases N] [-j N] [--width N]\n"
+       "               [--fixed-width] [--out DIR] [--no-minimize]\n"
+       "               [--max-reports N] [--progress N] [--large-shapes]\n"
+       "  lowbist fuzz --replay <file.corpus>\n",
+       cmd_fuzz},
+      {"explore", 1, 1, "<design.dfg>",
+       "--modules --fu --binder -j --width --json --checkpoint --pareto "
+       "--patterns --metrics",
+       true,
+       "  lowbist explore <design.dfg> [--modules \"S1;S2\"] [--fu \"1+,1*\"]...\n"
+       "                  [--binder KIND[,KIND]] [-j N] [--width N] [--json]\n"
+       "                  [--checkpoint FILE]\n"
+       "  lowbist explore <design.dfg> --pareto bist [--patterns N]\n"
+       "                  [--binder KIND[,KIND]] [-j N] [--width N] [--json]\n"
+       "                  [--metrics FILE]   hybrid-BIST sweep: area x\n"
+       "                  coverage x test-length (docs/hybrid-bist.md)\n",
+       cmd_explore},
+      {"metrics", 1, 1, "<dump.json|->", "--prom", false,
+       "  lowbist metrics <dump.json|-> [--prom]\n", cmd_metrics},
+      {"version", 0, 0, "", "--json", false, "  lowbist version [--json]\n",
+       cmd_version},
+  };
+  return table;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc < 2) usage("missing command");
+  const std::string_view name = argv[1];
+  const auto& table = commands();
+  const auto cmd =
+      std::find_if(table.begin(), table.end(),
+                   [&](const Command& c) { return name == c.name; });
+  if (cmd == table.end()) usage("unknown command: " + std::string(name));
   try {
-    CliOptions cli = parse_args(argc, argv);
+    const CliOptions cli = parse_args(*cmd, argc, argv);
     ProfileScope profile(cli);
-    const int rc = run_command(cli);
+    const int rc = cmd->run(cli);
     profile.write();
     return rc;
   } catch (const lbist::Error& e) {
