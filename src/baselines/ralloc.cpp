@@ -2,15 +2,16 @@
 
 #include <algorithm>
 
-#include "graph/chordal.hpp"
+#include "graph/conflict.hpp"
 #include "support/check.hpp"
 
 namespace lbist {
 
 RegisterBinding bind_registers_ralloc(const Dfg& dfg,
                                       const VarConflictGraph& cg,
-                                      const ModuleBinding& mb) {
-  auto peo = perfect_elimination_order(cg.graph);
+                                      const ModuleBinding& mb,
+                                      PeoStats* peo_stats) {
+  auto peo = conflict_elimination_order(cg, {}, peo_stats);
   LBIST_CHECK(peo.has_value(), "conflict graph is not chordal");
   std::vector<std::size_t> order(peo->rbegin(), peo->rend());
 

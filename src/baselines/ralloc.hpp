@@ -21,7 +21,8 @@ namespace lbist {
 
 /// RALLOC-style register binding (self-adjacency-minimizing).
 [[nodiscard]] RegisterBinding bind_registers_ralloc(
-    const Dfg& dfg, const VarConflictGraph& cg, const ModuleBinding& mb);
+    const Dfg& dfg, const VarConflictGraph& cg, const ModuleBinding& mb,
+    PeoStats* peo_stats = nullptr);
 
 /// RALLOC-style BIST labelling of a data path: every register that is a
 /// source or destination of some module becomes a BILBO; self-adjacent

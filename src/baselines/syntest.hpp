@@ -22,7 +22,8 @@ namespace lbist {
 
 /// SYNTEST-style register binding (template-constrained).
 [[nodiscard]] RegisterBinding bind_registers_syntest(
-    const Dfg& dfg, const VarConflictGraph& cg, const ModuleBinding& mb);
+    const Dfg& dfg, const VarConflictGraph& cg, const ModuleBinding& mb,
+    PeoStats* peo_stats = nullptr);
 
 /// SYNTEST-style BIST labelling: TPG for registers feeding modules, SA for
 /// registers fed by modules; a register doing both (template violation that

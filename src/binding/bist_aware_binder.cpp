@@ -9,7 +9,7 @@
 #include "binding/cbilbo_check.hpp"
 #include "binding/cbilbo_tracker.hpp"
 #include "binding/sharing.hpp"
-#include "graph/chordal.hpp"
+#include "graph/conflict.hpp"
 #include "obs/events.hpp"
 #include "support/arena.hpp"
 #include "support/check.hpp"
@@ -21,8 +21,6 @@ namespace {
 /// Incremental register state kept by the binder.
 struct RegState {
   std::vector<std::size_t> members;  ///< conflict-graph vertices
-  DynBitset member_vertices;         ///< same, as a bitset over vertices
-  DynBitset var_mask;                ///< members as a bitset over VarId
   DynBitset share_mask;              ///< union of member sharing masks
   DynBitset src_modules;             ///< modules (+external) writing into it
   DynBitset dst_modules;             ///< modules reading from it
@@ -50,7 +48,8 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
                                           const ModuleBinding& mb,
                                           const BistBinderOptions& opts,
                                           std::vector<std::string>* trace,
-                                          AlgorithmEvents* events) {
+                                          AlgorithmEvents* events,
+                                          PeoStats* peo_stats) {
   const std::size_t n = cg.graph.num_vertices();
   SharingAnalysis sa(dfg, mb);
   const std::size_t m = sa.num_modules();
@@ -70,9 +69,9 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
     std::vector<std::size_t> by_priority(n);
     std::iota(by_priority.begin(), by_priority.end(), std::size_t{0});
     if (opts.sd_ordered_pves) {
-      auto base_peo = perfect_elimination_order(cg.graph);
-      LBIST_CHECK(base_peo.has_value(), "conflict graph is not chordal");
-      auto mcs = max_clique_through_vertex(cg.graph, *base_peo);
+      const auto mcs_sizes = conflict_max_clique_sizes(cg, peo_stats);
+      LBIST_CHECK(mcs_sizes.has_value(), "conflict graph is not chordal");
+      const std::vector<std::size_t>& mcs = *mcs_sizes;
       std::stable_sort(by_priority.begin(), by_priority.end(),
                        [&](std::size_t a, std::size_t b) {
                          if (sd_vtx[a] != sd_vtx[b]) {
@@ -89,7 +88,7 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
     }
     for (std::size_t i = 0; i < n; ++i) rank[by_priority[i]] = i;
   }
-  auto peo = perfect_elimination_order(cg.graph, rank);
+  auto peo = conflict_elimination_order(cg, rank, peo_stats);
   LBIST_CHECK(peo.has_value(), "conflict graph is not chordal");
   std::vector<std::size_t> color_order(peo->rbegin(), peo->rend());
 
@@ -111,17 +110,20 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
   std::optional<CbilboTracker> tracker;
   if (opts.avoid_cbilbo) tracker.emplace(dfg, mb);
   auto reg_masks = [&] {
-    std::vector<DynBitset> out;
-    out.reserve(regs.size());
-    for (const auto& r : regs) out.push_back(r.var_mask);
+    std::vector<DynBitset> out(regs.size(), DynBitset(dfg.num_vars()));
+    for (std::size_t r = 0; r < regs.size(); ++r) {
+      for (std::size_t v : regs[r].members) out[r].set(cg.vars[v].index());
+    }
     return out;
   };
+  // Register of each coloured vertex, kNoReg before.
+  constexpr std::size_t kNoReg = SIZE_MAX;
+  std::vector<std::size_t> reg_of(n, kNoReg);
 
   auto assign = [&](std::size_t v, std::size_t r) {
     RegState& reg = regs[r];
     reg.members.push_back(v);
-    reg.member_vertices.set(v);
-    reg.var_mask.set(cg.vars[v].index());
+    reg_of[v] = r;
     reg.sd +=
         static_cast<int>(sa.mask(cg.vars[v]).count_and_not(reg.share_mask));
     reg.share_mask |= sa.mask(cg.vars[v]);
@@ -131,10 +133,13 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
   };
 
   // Per-step scratch, arena-backed and register-indexed: ΔSD, tie-break
-  // interconnect cost, feasibility.  A register count never exceeds n.
+  // interconnect cost, and the step at which a coloured neighbour last
+  // blocked the register.  A register count never exceeds n.
   Arena arena;
   std::span<int> dsd = arena.alloc_zeroed<int>(n);
   std::span<int> icost = arena.alloc_zeroed<int>(n);
+  std::span<std::size_t> blocked_at = arena.alloc_zeroed<std::size_t>(n);
+  std::size_t step = 0;
   std::vector<std::size_t> feasible;
   feasible.reserve(n);
 
@@ -142,18 +147,19 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
     const VarId var = cg.vars[v];
     const DynBitset& vmask = sa.mask(var);
 
-    // Non-conflicting registers.
+    // Non-conflicting registers: all but those of coloured neighbours, in
+    // index order.  Marking from the neighbours costs O(deg v + #regs)
+    // instead of one row-window intersection per register.
+    ++step;
+    cg.graph.row(v).for_each([&](std::size_t u) {
+      if (reg_of[u] != kNoReg) blocked_at[reg_of[u]] = step;
+    });
     feasible.clear();
-    const RowView row = cg.graph.row(v);
     for (std::size_t r = 0; r < regs.size(); ++r) {
-      if (!row.intersects(regs[r].member_vertices)) {
-        feasible.push_back(r);
-      }
+      if (blocked_at[r] != step) feasible.push_back(r);
     }
     if (feasible.empty()) {
       RegState fresh{{},
-                     DynBitset(n),
-                     DynBitset(dfg.num_vars()),
                      sa.empty_mask(),
                      DynBitset(m + 1),
                      DynBitset(m + 1),

@@ -56,6 +56,6 @@ struct BistBinderOptions {
     const Dfg& dfg, const VarConflictGraph& cg, const ModuleBinding& mb,
     const BistBinderOptions& opts = {},
     std::vector<std::string>* trace = nullptr,
-    AlgorithmEvents* events = nullptr);
+    AlgorithmEvents* events = nullptr, PeoStats* peo_stats = nullptr);
 
 }  // namespace lbist

@@ -6,7 +6,7 @@
 #include <set>
 #include <utility>
 
-#include "graph/chordal.hpp"
+#include "graph/conflict.hpp"
 #include "graph/coloring.hpp"
 #include "support/check.hpp"
 
@@ -59,8 +59,9 @@ RegisterBinding bind_registers_traditional(
 }
 
 RegisterBinding bind_registers_reverse_peo(const Dfg& dfg,
-                                           const VarConflictGraph& cg) {
-  auto peo = perfect_elimination_order(cg.graph);
+                                           const VarConflictGraph& cg,
+                                           PeoStats* peo_stats) {
+  auto peo = conflict_elimination_order(cg, {}, peo_stats);
   LBIST_CHECK(peo.has_value(),
               "conflict graph is not chordal (loops or mutual exclusion in "
               "the DFG?)");

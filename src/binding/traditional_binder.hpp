@@ -30,6 +30,7 @@ namespace lbist {
 /// Reverse-PEO first-fit minimum coloring (also testability-oblivious).
 /// Throws lbist::Error if the conflict graph is not chordal.
 [[nodiscard]] RegisterBinding bind_registers_reverse_peo(
-    const Dfg& dfg, const VarConflictGraph& cg);
+    const Dfg& dfg, const VarConflictGraph& cg,
+    PeoStats* peo_stats = nullptr);
 
 }  // namespace lbist

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <tuple>
 #include <utility>
@@ -42,57 +45,290 @@ StateKey apply_embedding(const StateKey& state, const BistEmbedding& e) {
   return next;
 }
 
-/// Objective change `cost_of(apply_embedding(state, e)) -
-/// cost_of(state)`, computed from the (up to three) touched registers
-/// without copying the state.  All three components are non-negative
-/// whenever the model is flag-monotone (flags only accumulate), and role
-/// extras are small multiples of the bit width, so comparing deltas is
-/// exactly equivalent to comparing the absolute tuples.
-std::tuple<double, int, int> delta_of(const StateKey& state,
-                                      const BistEmbedding& e,
-                                      const AreaModel& model) {
-  std::size_t touched[3];
-  std::size_t count = 0;
-  auto add_unique = [&](std::size_t reg) {
-    for (std::size_t i = 0; i < count; ++i) {
-      if (touched[i] == reg) return;
-    }
-    touched[count++] = reg;
-  };
-  add_unique(e.tpg_left);
-  add_unique(e.tpg_right);
-  if (e.sa.has_value()) add_unique(*e.sa);
-
+/// The lexicographic objective (extra area, #CBILBO, #modified): of a
+/// state, summed over every register, or the change an embedding makes.
+struct Cost {
   double area = 0.0;
   int cbilbos = 0;
   int modified = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t reg = touched[i];
-    RoleFlags f = RoleFlags::decode(static_cast<std::uint8_t>(state[reg]));
-    RoleFlags next = f;
-    if (reg == e.tpg_left || reg == e.tpg_right) next.tpg = true;
-    if (e.sa.has_value() && reg == *e.sa) {
-      next.sa = true;
-      if (e.needs_cbilbo()) {
-        next.tpg = true;
-        next.cbilbo = true;
-      }
+
+  [[nodiscard]] auto tie() const { return std::tie(area, cbilbos, modified); }
+  bool operator<(const Cost& o) const { return tie() < o.tie(); }
+  bool operator==(const Cost& o) const { return tie() == o.tie(); }
+};
+
+/// What one register adds to the objective when it gains a role, for each
+/// current flag code (RoleFlags::encode) and role gained.  Built once per
+/// solve, so the scans look terms up instead of calling `role_extra`.
+struct DeltaTable {
+  std::array<Cost, 8> tpg{};     ///< becomes a generator
+  std::array<Cost, 8> sa{};      ///< becomes an analyzer
+  std::array<Cost, 8> cbilbo{};  ///< generator and analyzer of one module
+
+  explicit DeltaTable(const AreaModel& model) {
+    for (std::uint8_t code = 0; code < 8; ++code) {
+      const RoleFlags f = RoleFlags::decode(code);
+      tpg[code] = gain(model, f, RoleFlags{true, f.sa, f.cbilbo});
+      sa[code] = gain(model, f, RoleFlags{f.tpg, true, f.cbilbo});
+      cbilbo[code] = gain(model, f, RoleFlags{true, true, true});
     }
-    const BistRole before = f.role();
-    const BistRole after = next.role();
-    if (before == after) continue;
-    area += model.role_extra(after) - model.role_extra(before);
-    cbilbos += (after == BistRole::Cbilbo ? 1 : 0) -
-               (before == BistRole::Cbilbo ? 1 : 0);
-    modified += (after != BistRole::None ? 1 : 0) -
-                (before != BistRole::None ? 1 : 0);
   }
-  return {area, cbilbos, modified};
+
+ private:
+  static Cost gain(const AreaModel& model, RoleFlags before_flags,
+                    RoleFlags after_flags) {
+    const BistRole before = before_flags.role();
+    const BistRole after = after_flags.role();
+    if (before == after) return {};
+    return {model.role_extra(after) - model.role_extra(before),
+            (after == BistRole::Cbilbo ? 1 : 0) -
+                (before == BistRole::Cbilbo ? 1 : 0),
+            (after != BistRole::None ? 1 : 0) -
+                (before != BistRole::None ? 1 : 0)};
+  }
+};
+
+/// The sum of per-register terms in touch order: left TPG, right TPG, then
+/// a distinct SA.  Every delta is summed in this one order, so equal terms
+/// give bit-identical areas whichever scan sums them.  A register whose
+/// role does not change adds +0.0, which leaves a sum as it is (at most
+/// the sign of a zero differs, and no comparison sees that).
+Cost sum_terms(const Cost& a, const Cost& b) {
+  return {a.area + b.area, a.cbilbos + b.cbilbos, a.modified + b.modified};
+}
+Cost sum_terms(const Cost& a, const Cost& b, const Cost& c) {
+  return sum_terms(sum_terms(a, b), c);
 }
 
-/// (extra_area, #cbilbo, #modified): the lexicographic objective.
-std::tuple<double, int, int> cost_of(const StateKey& state,
-                                     const AreaModel& model) {
+std::uint8_t code_of(const StateKey& state, std::size_t reg) {
+  return static_cast<std::uint8_t>(state[reg]);
+}
+
+/// Objective change `cost_of(apply_embedding(state, e)) -
+/// cost_of(state)`, from the (up to three) touched registers without
+/// copying the state.  All three components are non-negative whenever the
+/// model is flag-monotone (flags only accumulate), and role extras are
+/// small multiples of the bit width, so comparing deltas is exactly
+/// equivalent to comparing the absolute tuples.
+Cost delta_of(const StateKey& state, const BistEmbedding& e,
+               const DeltaTable& table) {
+  const std::uint8_t left = code_of(state, e.tpg_left);
+  const std::uint8_t right = code_of(state, e.tpg_right);
+  if (!e.sa.has_value()) return sum_terms(table.tpg[left], table.tpg[right]);
+  if (*e.sa == e.tpg_left) {
+    return sum_terms(table.cbilbo[left], table.tpg[right]);
+  }
+  if (*e.sa == e.tpg_right) {
+    return sum_terms(table.tpg[left], table.cbilbo[right]);
+  }
+  return sum_terms(table.tpg[left], table.tpg[right],
+                   table.sa[code_of(state, *e.sa)]);
+}
+
+/// Best embedding over simple I-paths of module `m` under `state`: the
+/// first, in `for_each_embedding` order, of those with the smallest delta
+/// — what a streaming scan of the whole |left| x |right| x |dests| cross
+/// product picks — found from the port lists alone.
+///
+/// An embedding's delta depends only on the flag codes of its registers
+/// and on its kind: plain (SA distinct from both TPGs), SA = left TPG or
+/// SA = right TPG (a CBILBO), or no SA register.  So the scan walks each
+/// port list once, keeping per flag code the first few entries, and then
+/// tries every (kind, codes) class: its delta comes from the table, and its
+/// first embedding in enumeration order — the lexicographically smallest
+/// (left, right, dest) position triple — from the kept entries.  Four per
+/// code are enough.  The first embedding takes, port by port, the first
+/// entry that can still complete one, and an entry can fail only by being
+/// one of the at most three registers that the other ports' entries of
+/// the class are down to.
+class SeparableScan {
+ public:
+  explicit SeparableScan(const DeltaTable& table) : table_(table) {}
+
+  /// Returns nullopt for an untestable module.  `candidates` counts the
+  /// port-list entries walked.
+  std::optional<BistEmbedding> best(const Datapath& dp, std::size_t m,
+                                    const StateKey& state,
+                                    std::uint64_t& candidates) {
+    const DpModule& mod = dp.modules[m];
+    for (Buckets* buckets :
+         {&left_, &right_, &dest_, &left_dest_, &right_dest_}) {
+      for (Bucket& b : buckets->by_code) b.size = 0;
+      buckets->present = 0;
+    }
+    fill(mod.left_sources, mod.dest_registers, state, left_, &left_dest_);
+    fill(mod.right_sources, mod.dest_registers, state, right_,
+         &right_dest_);
+    fill(mod.dest_registers, mod.dest_registers, state, dest_, nullptr);
+    candidates += mod.left_sources.size() + mod.right_sources.size() +
+                  mod.dest_registers.size();
+
+    // Entries in both a source and the dest list are in the source's own
+    // buckets too, so the source lists' codes cover every class.
+    found_ = false;
+    for (unsigned ls = left_.present; ls != 0; ls &= ls - 1) {
+      const auto cl = static_cast<std::uint8_t>(std::countr_zero(ls));
+      for (unsigned rs = right_.present; rs != 0; rs &= rs - 1) {
+        const auto cr = static_cast<std::uint8_t>(std::countr_zero(rs));
+        if (mod.dest_registers.empty()) {
+          offer_pair(sum_terms(table_.tpg[cl], table_.tpg[cr]),
+                     left_.by_code[cl], right_.by_code[cr], Sa::None);
+          continue;
+        }
+        offer_pair(sum_terms(table_.cbilbo[cl], table_.tpg[cr]),
+                   left_dest_.by_code[cl], right_.by_code[cr], Sa::Left);
+        offer_pair(sum_terms(table_.tpg[cl], table_.cbilbo[cr]),
+                   left_.by_code[cl], right_dest_.by_code[cr], Sa::Right);
+        for (unsigned ds = dest_.present; ds != 0; ds &= ds - 1) {
+          const auto cs = static_cast<std::uint8_t>(std::countr_zero(ds));
+          offer_triple(
+              sum_terms(table_.tpg[cl], table_.tpg[cr], table_.sa[cs]),
+              left_.by_code[cl], right_.by_code[cr], dest_.by_code[cs]);
+        }
+      }
+    }
+    if (!found_) return std::nullopt;
+    BistEmbedding e;
+    e.module = m;
+    e.tpg_left = best_left_;
+    e.tpg_right = best_right_;
+    e.sa = best_sa_;
+    return e;
+  }
+
+ private:
+  /// A port-list entry: its position in the list, the register, and (for
+  /// a source that is also a destination) its position among the dests.
+  struct Entry {
+    std::uint32_t pos = 0;
+    std::uint32_t dest_pos = 0;
+    std::size_t reg = 0;
+  };
+  /// The first entries of one port list that carry one flag code.
+  struct Bucket {
+    std::array<Entry, 4> at{};
+    std::uint32_t size = 0;
+  };
+  /// One port list's buckets, by flag code, and the codes that occur.
+  struct Buckets {
+    std::array<Bucket, 8> by_code{};
+    unsigned present = 0;  ///< bit c set: by_code[c] is not empty
+  };
+  using Position = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>;
+  enum class Sa { None, Left, Right };
+
+  /// Buckets the entries of `port` by flag code; with `in_dests`, also
+  /// those that are destinations of the module too.
+  static void fill(const std::set<std::size_t>& port,
+                   const std::set<std::size_t>& dests, const StateKey& state,
+                   Buckets& all, Buckets* in_dests) {
+    auto add = [](Buckets& buckets, std::uint8_t code, const Entry& e) {
+      Bucket& b = buckets.by_code[code];
+      if (b.size < b.at.size()) b.at[b.size++] = e;
+      buckets.present |= 1u << code;
+    };
+    auto d = dests.begin();
+    std::uint32_t dest_pos = 0;
+    std::uint32_t pos = 0;
+    for (std::size_t reg : port) {
+      const std::uint8_t code = code_of(state, reg);
+      Entry e{pos++, 0, reg};
+      add(all, code, e);
+      if (in_dests == nullptr) continue;
+      while (d != dests.end() && *d < reg) {
+        ++d;
+        ++dest_pos;
+      }
+      if (d != dests.end() && *d == reg) {
+        e.dest_pos = dest_pos;
+        add(*in_dests, code, e);
+      }
+    }
+  }
+
+  /// True if a class of delta `d` cannot win: the best so far is smaller.
+  [[nodiscard]] bool beaten(const Cost& d) const {
+    return found_ && best_delta_ < d;
+  }
+  /// Keeps the embedding if it has the smallest delta so far, or an equal
+  /// delta and an earlier position.
+  void offer(const Cost& d, const Position& p, std::size_t left,
+             std::size_t right, std::optional<std::size_t> sa) {
+    if (found_ &&
+        (best_delta_ < d || (!(d < best_delta_) && !(p < best_pos_)))) {
+      return;
+    }
+    found_ = true;
+    best_delta_ = d;
+    best_pos_ = p;
+    best_left_ = left;
+    best_right_ = right;
+    best_sa_ = sa;
+  }
+
+  /// Classes with two distinct TPG registers and the SA, if any, equal to
+  /// one of them (`Sa::Left`: the left entries are also dests).
+  void offer_pair(const Cost& d, const Bucket& left, const Bucket& right,
+                  Sa sa) {
+    if (left.size == 0 || right.size == 0 || beaten(d)) return;
+    for (std::uint32_t i = 0; i < left.size; ++i) {
+      const Entry& x = left.at[i];
+      for (std::uint32_t j = 0; j < right.size; ++j) {
+        const Entry& y = right.at[j];
+        if (y.reg == x.reg) continue;
+        switch (sa) {
+          case Sa::None:
+            offer(d, {x.pos, y.pos, 0}, x.reg, y.reg, std::nullopt);
+            break;
+          case Sa::Left:
+            offer(d, {x.pos, y.pos, x.dest_pos}, x.reg, y.reg, x.reg);
+            break;
+          case Sa::Right:
+            offer(d, {x.pos, y.pos, y.dest_pos}, x.reg, y.reg, y.reg);
+            break;
+        }
+        return;
+      }
+    }
+  }
+
+  /// Plain classes: an SA register distinct from both TPGs.
+  void offer_triple(const Cost& d, const Bucket& left, const Bucket& right,
+                    const Bucket& dest) {
+    if (left.size == 0 || right.size == 0 || dest.size == 0 || beaten(d)) {
+      return;
+    }
+    for (std::uint32_t i = 0; i < left.size; ++i) {
+      const Entry& x = left.at[i];
+      for (std::uint32_t j = 0; j < right.size; ++j) {
+        const Entry& y = right.at[j];
+        if (y.reg == x.reg) continue;
+        for (std::uint32_t k = 0; k < dest.size; ++k) {
+          const Entry& z = dest.at[k];
+          if (z.reg == x.reg || z.reg == y.reg) continue;
+          offer(d, {x.pos, y.pos, z.pos}, x.reg, y.reg, z.reg);
+          return;
+        }
+      }
+    }
+  }
+
+  const DeltaTable& table_;
+  Buckets left_{};
+  Buckets right_{};
+  Buckets dest_{};
+  Buckets left_dest_{};
+  Buckets right_dest_{};
+  bool found_ = false;
+  Cost best_delta_{};
+  Position best_pos_{};
+  std::size_t best_left_ = 0;
+  std::size_t best_right_ = 0;
+  std::optional<std::size_t> best_sa_;
+};
+
+/// The objective of a state.
+Cost cost_of(const StateKey& state, const AreaModel& model) {
   double area = 0.0;
   int cbilbos = 0;
   int modified = 0;
@@ -193,18 +429,6 @@ void emit_role_events(AlgorithmEvents* events,
     if (roles[r] != BistRole::None) events->bist_role(r, to_string(roles[r]));
   }
 }
-
-/// Objective tuple (extra area, #CBILBO, #modified) of a DP state, summed
-/// over every register, live or retired.
-struct Cost {
-  double area = 0.0;
-  int cbilbos = 0;
-  int modified = 0;
-
-  [[nodiscard]] auto tie() const { return std::tie(area, cbilbos, modified); }
-  bool operator<(const Cost& o) const { return tie() < o.tie(); }
-  bool operator==(const Cost& o) const { return tie() == o.tie(); }
-};
 
 /// Key slots per 64-bit word: 3 role-flag bits each (RoleFlags::encode).
 constexpr std::size_t kSlotsPerWord = 21;
@@ -451,11 +675,11 @@ BistSolution BistAllocator::solve(const Datapath& dp,
 
   // Embedding lists are the cross product of port fan-ins, so past a few
   // hundred registers materializing them alone would burn gigabytes.  Go
-  // straight to the streaming greedy allocator instead.
+  // straight to the greedy allocator, which materializes none, instead.
   if (nregs > exact_max_regs) {
     st.fallback = "regs";
     if (events != nullptr) events->bist_greedy_fallback();
-    return solve_greedy_impl(dp, events);
+    return solve_greedy_impl(dp, events, &st);
   }
 
   // Pre-enumerate embeddings; record untestable modules.
@@ -477,13 +701,13 @@ BistSolution BistAllocator::solve(const Datapath& dp,
   // exact while the frontier collapses to near-optimal states only.
   const bool prune = area_flag_monotone(model_);
   std::optional<BistSolution> greedy;
-  if (prune) greedy = solve_greedy_impl(dp, nullptr);
+  if (prune) greedy = solve_greedy_impl(dp, nullptr, &st);
   const double incumbent = prune ? greedy->extra_area : 0.0;
   constexpr double kAreaSlack = 1e-6;  // guards incremental-sum rounding
   auto fall_back = [&] {
     st.fallback = "budget";
     if (events != nullptr) events->bist_greedy_fallback();
-    if (!greedy.has_value()) return solve_greedy_impl(dp, events);
+    if (!greedy.has_value()) return solve_greedy_impl(dp, events, &st);
     emit_role_events(events, greedy->roles);
     return std::move(*greedy);
   };
@@ -642,7 +866,7 @@ BistSolution BistAllocator::solve(const Datapath& dp,
       if (e.has_value()) roles = apply_embedding(roles, *e);
     }
     sol.roles = roles_of(roles);
-    sol.extra_area = std::get<0>(cost_of(roles, model_));
+    sol.extra_area = cost_of(roles, model_).area;
     return sol;
   };
 
@@ -664,39 +888,46 @@ BistSolution BistAllocator::solve(const Datapath& dp,
   return best_sol;
 }
 
-BistSolution BistAllocator::solve_greedy(const Datapath& dp) const {
-  return solve_greedy_impl(dp, events);
+BistSolution BistAllocator::solve_greedy(const Datapath& dp,
+                                         BistDpStats* stats) const {
+  return solve_greedy_impl(dp, events, stats);
 }
 
-BistSolution BistAllocator::solve_greedy_impl(
-    const Datapath& dp, AlgorithmEvents* emit_events) const {
+BistSolution BistAllocator::solve_greedy_impl(const Datapath& dp,
+                                              AlgorithmEvents* emit_events,
+                                              BistDpStats* stats) const {
   const std::size_t nregs = dp.registers.size();
   StateKey state(nregs, '\0');
+  const DeltaTable table(model_);
+  std::uint64_t candidates = 0;
 
-  // A zero marginal cost cannot be beaten when role flags only accumulate
-  // and the model is flag-monotone (every delta component is then >= 0),
-  // so the scan of a module may stop at the first such embedding.
+  // Transparent paths break the separable structure (via registers and
+  // through modules constrain the pairs), so that arm streams the cross
+  // product.  A zero marginal cost cannot be beaten when role flags only
+  // accumulate and the model is flag-monotone (every delta component is
+  // then >= 0), so its scan of a module may stop at the first such
+  // embedding.
   const bool can_cut = area_flag_monotone(model_);
-  constexpr std::tuple<double, int, int> kZero{0.0, 0, 0};
+  SeparableScan separable(table);
 
   BistSolution sol;
   sol.exact = false;
   sol.embeddings.assign(dp.modules.size(), std::nullopt);
   for (std::size_t m = 0; m < dp.modules.size(); ++m) {
     std::optional<BistEmbedding> best_emb;
-    std::tuple<double, int, int> best_delta{0, 0, 0};
-    auto scan = [&](const BistEmbedding& e) {
-      const auto d = delta_of(state, e, model_);
-      if (!best_emb.has_value() || d < best_delta) {
-        best_delta = d;
-        best_emb = e;
-      }
-      return !(can_cut && best_delta == kZero);
-    };
     if (use_transparent_paths) {
-      for_each_embedding_extended(dp, m, scan);
+      Cost best_delta;
+      candidates += for_each_embedding_extended(
+          dp, m, [&](const BistEmbedding& e) {
+            const Cost d = delta_of(state, e, table);
+            if (!best_emb.has_value() || d < best_delta) {
+              best_delta = d;
+              best_emb = e;
+            }
+            return !(can_cut && best_delta == Cost{});
+          });
     } else {
-      for_each_embedding(dp, m, scan);
+      best_emb = separable.best(dp, m, state, candidates);
     }
     if (!best_emb.has_value()) {
       sol.untestable_modules.push_back(m);
@@ -706,7 +937,8 @@ BistSolution BistAllocator::solve_greedy_impl(
     sol.embeddings[m] = best_emb;
   }
   sol.roles = roles_of(state);
-  sol.extra_area = std::get<0>(cost_of(state, model_));
+  sol.extra_area = cost_of(state, model_).area;
+  if (stats != nullptr) stats->greedy_candidates += candidates;
   emit_role_events(emit_events, sol.roles);
   return sol;
 }

@@ -76,9 +76,12 @@ struct BistSolution {
   [[nodiscard]] std::string describe(const Datapath& dp) const;
 };
 
-/// Work the exact DP did for one `solve` call (trace span arguments).
+/// Work one `solve` call did (trace span arguments).
 struct BistDpStats {
   std::uint64_t transitions = 0;   ///< (state, embedding) pairs tried
+  /// Candidates the greedy scans examined: port-list entries walked by the
+  /// separable scan, embeddings visited by the transparent-path scan.
+  std::uint64_t greedy_candidates = 0;
   std::size_t peak_frontier = 0;   ///< most states on one DP level
   std::size_t live_max = 0;        ///< widest key, in live registers
   /// Why the greedy solver answered: "regs" (`exact_max_regs`), "budget"
@@ -97,10 +100,14 @@ class BistAllocator {
   [[nodiscard]] BistSolution solve(const Datapath& dp,
                                    BistDpStats* stats = nullptr) const;
 
-  /// Greedy: modules in order, each takes its locally cheapest embedding.
-  /// Streams the embedding space (nothing materialized) so it stays flat
-  /// in memory at any design size.
-  [[nodiscard]] BistSolution solve_greedy(const Datapath& dp) const;
+  /// Greedy: modules in order, each takes its locally cheapest embedding
+  /// (the first in enumeration order among the cheapest).  Over simple
+  /// I-paths it finds it from the port lists in linear time; with
+  /// transparent paths it streams the embedding space.  Nothing is
+  /// materialized, so it stays flat in memory at any design size.  `stats`,
+  /// if non-null, accumulates `greedy_candidates`.
+  [[nodiscard]] BistSolution solve_greedy(const Datapath& dp,
+                                          BistDpStats* stats = nullptr) const;
 
   /// Work budget of the exact DP, in transitions generated: one per DP
   /// state and distinct embedding effect tried.  Counted, not timed, so
@@ -112,9 +119,9 @@ class BistAllocator {
 
   /// Register-count cap for the exact DP.  The embedding lists are
   /// materialized, and their size grows with the cube of the port fan-ins,
-  /// so past this many registers `solve` goes straight to the streaming
-  /// greedy allocator instead.  Paper benchmarks and fuzz shapes sit far
-  /// below this cap.
+  /// so past this many registers `solve` goes straight to the greedy
+  /// allocator, which materializes none, instead.  Paper benchmarks and
+  /// fuzz shapes sit far below this cap.
   std::size_t exact_max_regs = 192;
 
   /// Also consider TPG paths through modules held in an identity mode
@@ -133,12 +140,11 @@ class BistAllocator {
   AlgorithmEvents* events = nullptr;
 
  private:
-  /// Greedy scan streaming embeddings straight off the datapath (nothing
-  /// is materialized, so it is safe at any scale); `emit_events` may be
-  /// null (used when the greedy pass only seeds the branch-and-bound
-  /// incumbent).
-  [[nodiscard]] BistSolution solve_greedy_impl(
-      const Datapath& dp, AlgorithmEvents* emit_events) const;
+  /// The greedy solver; `emit_events` may be null (used when the greedy
+  /// pass only seeds the branch-and-bound incumbent), and so may `stats`.
+  [[nodiscard]] BistSolution solve_greedy_impl(const Datapath& dp,
+                                               AlgorithmEvents* emit_events,
+                                               BistDpStats* stats) const;
 
   AreaModel model_;
 };

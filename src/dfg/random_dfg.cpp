@@ -59,9 +59,14 @@ RandomDfg make_random_dfg(const RandomDfgOptions& opts) {
   for (const auto& v : dfg.vars()) {
     if (!v.is_input() && v.uses.empty()) dfg.mark_output(v.id);
   }
-  for (const auto& v : dfg.vars()) {
+  // By index over the count taken first: add_op grows dfg.vars(), which
+  // would leave a range-for reading freed storage.
+  const std::size_t num_vars = dfg.num_vars();
+  for (std::size_t i = 0; i < num_vars; ++i) {
+    const Variable& v = dfg.vars()[i];
     if (v.is_input() && v.uses.empty()) {
-      VarId r = dfg.add_op(OpKind::Add, v.id, v.id,
+      const VarId in = v.id;
+      VarId r = dfg.add_op(OpKind::Add, in, in,
                            "t" + std::to_string(var_counter++));
       steps.push_back(opts.num_steps + 1);
       dfg.mark_output(r);

@@ -15,34 +15,10 @@ UndirectedGraph::UndirectedGraph(std::size_t n) {
 
 UndirectedGraph::UndirectedGraph(
     std::size_t n,
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges) {
-  rows_.resize(n);
-  // Pass 1: each row's neighbour word span.
-  std::vector<std::uint32_t> lo(n, UINT32_MAX);
-  std::vector<std::uint32_t> hi(n, 0);
-  auto widen = [&](std::uint32_t v, std::uint32_t nbr) {
-    const auto w = nbr / 64;
-    lo[v] = std::min(lo[v], w);
-    hi[v] = std::max(hi[v], w + 1);
-  };
-  for (const auto& [a, b] : edges) {
-    LBIST_CHECK(a < n && b < n, "vertex out of range");
-    LBIST_CHECK(a != b, "self loops not allowed");
-    widen(a, b);
-    widen(b, a);
-  }
-  std::size_t total = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (lo[v] == UINT32_MAX) lo[v] = hi[v] = 0;  // isolated vertex
-    rows_[v].offset = total;
-    rows_[v].word_lo = lo[v];
-    rows_[v].word_hi = hi[v];
-    total += hi[v] - lo[v];
-  }
-  words_.assign(total, 0);
-  // Pass 2: set the bits (add_edge dedupes and counts).
-  for (const auto& [a, b] : edges) add_edge(a, b);
-}
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges)
+    : UndirectedGraph(from_edges(n, [&](const auto& f) {
+        for (const auto& [a, b] : edges) f(a, b);
+      })) {}
 
 void UndirectedGraph::add_edge(std::size_t a, std::size_t b) {
   LBIST_CHECK(a < rows_.size() && b < rows_.size(), "vertex out of range");

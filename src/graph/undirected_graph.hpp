@@ -159,6 +159,14 @@ class UndirectedGraph {
                   const std::vector<std::pair<std::uint32_t, std::uint32_t>>&
                       edges);
 
+  /// The same bulk construction from an edge stream, with no edge list
+  /// held in memory: `for_each_edge(f)` calls `f(a, b)` for every edge and
+  /// must replay the same edges when called again.  It is called twice:
+  /// once to measure the row windows, once to set the bits.
+  template <typename ForEachEdge>
+  [[nodiscard]] static UndirectedGraph from_edges(std::size_t n,
+                                                  ForEachEdge&& for_each_edge);
+
   [[nodiscard]] std::size_t num_vertices() const { return rows_.size(); }
   [[nodiscard]] std::size_t num_edges() const { return num_edges_; }
 
@@ -206,5 +214,38 @@ class UndirectedGraph {
   std::vector<RowMeta> rows_;
   std::size_t num_edges_ = 0;
 };
+
+template <typename ForEachEdge>
+UndirectedGraph UndirectedGraph::from_edges(std::size_t n,
+                                            ForEachEdge&& for_each_edge) {
+  UndirectedGraph g;
+  g.rows_.resize(n);
+  // Pass 1: each row's neighbour word span.
+  std::vector<std::uint32_t> lo(n, UINT32_MAX);
+  std::vector<std::uint32_t> hi(n, 0);
+  auto widen = [&](std::size_t v, std::size_t nbr) {
+    const auto w = static_cast<std::uint32_t>(nbr / 64);
+    lo[v] = std::min(lo[v], w);
+    hi[v] = std::max(hi[v], w + 1);
+  };
+  for_each_edge([&](std::size_t a, std::size_t b) {
+    LBIST_CHECK(a < n && b < n, "vertex out of range");
+    LBIST_CHECK(a != b, "self loops not allowed");
+    widen(a, b);
+    widen(b, a);
+  });
+  std::size_t total = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (lo[v] == UINT32_MAX) lo[v] = hi[v] = 0;  // isolated vertex
+    g.rows_[v].offset = total;
+    g.rows_[v].word_lo = lo[v];
+    g.rows_[v].word_hi = hi[v];
+    total += hi[v] - lo[v];
+  }
+  g.words_.assign(total, 0);
+  // Pass 2: set the bits (add_edge dedupes and counts).
+  for_each_edge([&](std::size_t a, std::size_t b) { g.add_edge(a, b); });
+  return g;
+}
 
 }  // namespace lbist

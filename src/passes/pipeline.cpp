@@ -457,6 +457,7 @@ class BindingPass final : public Pass {
     const SynthesisOptions& opts = state.options();
     SynthesisResult& result = state.result;
     auto span = trace_span(opts.trace, "binding");
+    PeoStats peo_stats;
     switch (opts.binder) {
       case BinderKind::Traditional:
         result.registers = bind_registers_traditional(state.dfg(), state.cg,
@@ -465,15 +466,16 @@ class BindingPass final : public Pass {
       case BinderKind::BistAware:
         result.registers =
             bind_registers_bist_aware(state.dfg(), state.cg, result.modules,
-                                      opts.bist_binder, nullptr, opts.events);
+                                      opts.bist_binder, nullptr, opts.events,
+                                      &peo_stats);
         break;
       case BinderKind::Ralloc:
-        result.registers =
-            bind_registers_ralloc(state.dfg(), state.cg, result.modules);
+        result.registers = bind_registers_ralloc(state.dfg(), state.cg,
+                                                 result.modules, &peo_stats);
         break;
       case BinderKind::Syntest:
-        result.registers =
-            bind_registers_syntest(state.dfg(), state.cg, result.modules);
+        result.registers = bind_registers_syntest(state.dfg(), state.cg,
+                                                  result.modules, &peo_stats);
         break;
       case BinderKind::CliquePartition:
         result.registers =
@@ -488,6 +490,7 @@ class BindingPass final : public Pass {
     if (span.active()) {
       span.arg("registers",
                static_cast<std::uint64_t>(result.registers.num_regs()));
+      span.arg("simplicial_checks", peo_stats.simplicial_checks);
     }
   }
 
@@ -604,6 +607,7 @@ class BistPass final : public Pass {
             span.arg("dp_peak_frontier",
                      std::uint64_t{dp_stats.peak_frontier});
             span.arg("dp_live_max", std::uint64_t{dp_stats.live_max});
+            span.arg("greedy_candidates", dp_stats.greedy_candidates);
             if (dp_stats.fallback != nullptr) {
               span.arg("fallback", dp_stats.fallback);
             }

@@ -18,8 +18,10 @@
 // x&1...1, x|0...0): these widen the embedding space further (future-work
 // direction noted in our DESIGN.md, exercised by the ablation bench).
 
-#include <functional>
+#include <cstddef>
 #include <optional>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "rtl/datapath.hpp"
@@ -84,19 +86,105 @@ struct BistEmbedding {
 [[nodiscard]] std::vector<BistEmbedding> enumerate_embeddings_extended(
     const Datapath& dp, std::size_t m);
 
+namespace detail {
+
+/// A TPG option for one port: the generator register, and the module held
+/// transparent on the way (nullopt for a direct connection).
+struct TpgOption {
+  std::size_t reg = 0;
+  std::optional<std::size_t> through;
+  std::optional<std::size_t> via;
+};
+
+/// Direct (simple I-path) options of one port, in register order.
+[[nodiscard]] std::vector<TpgOption> direct_options(
+    const std::set<std::size_t>& sources);
+
+/// Direct options of both ports of module `m`, then its single-hop
+/// transparent extensions.
+void extended_options(const Datapath& dp, std::size_t m,
+                      std::vector<TpgOption>& left,
+                      std::vector<TpgOption>& right);
+
+/// Streams the cross product of TPG options (x dest registers) to `fn`;
+/// stops when `fn` returns false.  Returns the number of embeddings
+/// visited.
+template <typename Fn>
+std::size_t visit_embeddings_from_options(const Datapath& dp, std::size_t m,
+                                          const std::vector<TpgOption>& left,
+                                          const std::vector<TpgOption>& right,
+                                          Fn& fn) {
+  const DpModule& mod = dp.modules[m];
+  std::size_t visited = 0;
+  for (const TpgOption& tl : left) {
+    for (const TpgOption& tr : right) {
+      if (tl.reg == tr.reg) continue;  // need two independent generators
+      // A module cannot be a transparent wire for its own test.
+      if ((tl.through.has_value() && *tl.through == m) ||
+          (tr.through.has_value() && *tr.through == m)) {
+        continue;
+      }
+      // A via register is overwritten by the pattern stream every cycle:
+      // it cannot simultaneously be the other port's generator, and two
+      // distinct streams cannot share one via register.
+      if (tl.via.has_value() && *tl.via == tr.reg) continue;
+      if (tr.via.has_value() && *tr.via == tl.reg) continue;
+      if (tl.via.has_value() && tr.via.has_value() && *tl.via == *tr.via) {
+        continue;
+      }
+      BistEmbedding e;
+      e.module = m;
+      e.tpg_left = tl.reg;
+      e.tpg_right = tr.reg;
+      e.left_through = tl.through;
+      e.right_through = tr.through;
+      e.left_via = tl.via;
+      e.right_via = tr.via;
+      if (mod.dest_registers.empty()) {
+        e.sa = std::nullopt;  // observed at a primary output/control pin
+        ++visited;
+        if (!fn(std::as_const(e))) return visited;
+      } else {
+        for (std::size_t sa : mod.dest_registers) {
+          // A via register cannot compact while shuttling patterns.
+          if ((tl.via.has_value() && *tl.via == sa) ||
+              (tr.via.has_value() && *tr.via == sa)) {
+            continue;
+          }
+          e.sa = sa;
+          ++visited;
+          if (!fn(std::as_const(e))) return visited;
+        }
+      }
+    }
+  }
+  return visited;
+}
+
+}  // namespace detail
+
 /// Streaming visitor over the embeddings of module `m`, in exactly the
 /// order `enumerate_embeddings` would list them, without materializing the
 /// list (the count is |left| x |right| x |dests| — quadratic-to-cubic in
-/// register fan-in, gigabytes at 10k-op scale).  `fn` returns false to
-/// stop early.  Returns the number of embeddings visited.
-std::size_t for_each_embedding(
-    const Datapath& dp, std::size_t m,
-    const std::function<bool(const BistEmbedding&)>& fn);
+/// register fan-in, gigabytes at 10k-op scale).  `fn(const BistEmbedding&)`
+/// returns false to stop early.  Returns the number of embeddings visited.
+template <typename Fn>
+std::size_t for_each_embedding(const Datapath& dp, std::size_t m, Fn&& fn) {
+  const DpModule& mod = dp.modules[m];
+  return detail::visit_embeddings_from_options(
+      dp, m, detail::direct_options(mod.left_sources),
+      detail::direct_options(mod.right_sources), fn);
+}
 
 /// Streaming form of `enumerate_embeddings_extended` (same order).
-std::size_t for_each_embedding_extended(
-    const Datapath& dp, std::size_t m,
-    const std::function<bool(const BistEmbedding&)>& fn);
+template <typename Fn>
+std::size_t for_each_embedding_extended(const Datapath& dp, std::size_t m,
+                                        Fn&& fn) {
+  std::vector<detail::TpgOption> left;
+  std::vector<detail::TpgOption> right;
+  detail::extended_options(dp, m, left, right);
+  return detail::visit_embeddings_from_options(dp, m, left, right, fn);
+}
 
 /// An I-path through a module in an identity mode: data flows
 /// `from_reg -> module(port) -> to_reg` unaltered when the other port is

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <map>
 #include <new>
 #include <sstream>
 #include <string>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "binding/cbilbo_check.hpp"
+#include "binding/module_spec.hpp"
 #include "core/synthesizer.hpp"
 #include "dfg/benchmarks.hpp"
 #include "dfg/random_dfg.hpp"
@@ -54,10 +56,25 @@ void* operator new[](std::size_t n) {
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// left to the runtime, they would pair its allocator with the free() below,
+// which AddressSanitizer reports as an alloc-dealloc mismatch.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace lbist {
 namespace {
@@ -409,6 +426,54 @@ TEST(ObsIntegration, Ex1SynthesisEmitsPaperDecisions) {
   const Json dump = metrics.to_json();
   EXPECT_EQ(dump.at("counters").at("binding.assignments").as_number(),
             static_cast<double>(events.count("assign")));
+}
+
+// The work counters in the span arguments are deterministic, so they can
+// be compared exactly across runs and machines, and the interval PEO keeps
+// simpliciality checks per conflict-graph vertex bounded on a large design.
+TEST(ObsIntegration, WorkCountersAreDeterministicAndBounded) {
+  RandomDfgOptions o;
+  o.seed = 424242;
+  o.ops_per_step = 8;
+  o.num_steps = 2000 / o.ops_per_step;
+  o.num_inputs = 12;
+  o.reuse_probability = 0.9;
+  o.chain_probability = 0.3;
+  const RandomDfg rd = make_random_dfg(o);
+  const auto protos = minimal_module_spec(rd.dfg, rd.schedule);
+  auto counters = [&] {
+    TraceRecorder rec;
+    rec.set_enabled(true);
+    SynthesisOptions opts;
+    opts.binder = BinderKind::BistAware;
+    opts.lifetime.hold_outputs_to_end = false;
+    opts.trace = &rec;
+    (void)Synthesizer(opts).run(rd.dfg, rd.schedule, protos);
+    std::map<std::string, double> out;
+    for (const auto& e : rec.snapshot()) {
+      const Json args = Json::parse("{" + e.args_json + "}");
+      for (const char* key : {"simplicial_checks", "greedy_candidates"}) {
+        if (const Json* v = args.find(key)) {
+          out[e.name + "." + key] = v->as_number();
+        }
+      }
+    }
+    return out;
+  };
+  const auto first = counters();
+  EXPECT_EQ(first, counters());
+  ASSERT_EQ(first.count("binding.simplicial_checks"), 1u);
+  ASSERT_EQ(first.count("bist.greedy_candidates"), 1u);
+
+  double vertices = 0;
+  for (const Variable& v : rd.dfg.vars()) {
+    if (v.allocatable()) ++vertices;
+  }
+  // Each vertex is tested once up front and once when it turns simplicial.
+  const double checks = first.at("binding.simplicial_checks");
+  EXPECT_GE(checks, vertices);
+  EXPECT_LE(checks, 2.0 * vertices);
+  EXPECT_GT(first.at("bist.greedy_candidates"), 0.0);
 }
 
 // --- sampling profiler -----------------------------------------------------
