@@ -594,7 +594,11 @@ PathDecomposition decompose(
 }
 
 /// The states of one DP level: fixed-width packed keys stored back to
-/// back, indexed by an open-addressing table so equal keys merge.
+/// back, indexed by an open-addressing table so equal keys merge.  At most
+/// half the table is full, so a state index + 1 fits in its low log2(size)
+/// bits; the entry's bits above those hold as many of the key hash's upper
+/// bits, a fingerprint that lets a probe skip a stored key that cannot be
+/// equal without reading it.
 class StateSet {
  public:
   explicit StateSet(std::size_t words) : words_(words) {}
@@ -604,17 +608,40 @@ class StateSet {
     return &keys_[i * words_];
   }
 
-  /// Index of `key`; a key not yet present becomes state `size()`.
-  std::uint32_t insert(const std::uint64_t* key) {
-    if (2 * (size_ + 1) > table_.size()) grow();
-    const std::size_t mask = table_.size() - 1;
-    for (std::size_t h = hash(key) & mask;; h = (h + 1) & mask) {
-      if (table_[h] == 0) {
+  /// splitmix64's finalizer per word: every key bit reaches the low bits
+  /// the table index uses, and the high bits the fingerprint uses.
+  [[nodiscard]] std::uint64_t hash(const std::uint64_t* key) const {
+    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (std::size_t w = 0; w < words_; ++w) {
+      h = splitmix64_finalize(h ^ key[w]);
+    }
+    return h;
+  }
+
+  /// Makes room for `n` more keys, so that the table does not move while
+  /// they are inserted.
+  void reserve(std::size_t n) {
+    while (2 * (size_ + n) > table_.size()) grow();
+  }
+
+  /// Starts loading the table slot of a key with hash `h`.
+  void prefetch(std::uint64_t h) const {
+    __builtin_prefetch(&table_[h & mask_]);
+  }
+
+  /// Index of `key`, whose hash is `h`; a key not yet present becomes
+  /// state `size()`.  Needs room reserved for it.
+  std::uint32_t insert(const std::uint64_t* key, std::uint64_t h) {
+    const std::uint32_t fingerprint = fingerprint_of(h);
+    for (std::size_t slot = h & mask_;; slot = (slot + 1) & mask_) {
+      const std::uint32_t entry = table_[slot];
+      if (entry == 0) {
         keys_.insert(keys_.end(), key, key + words_);
-        table_[h] = static_cast<std::uint32_t>(++size_);
-        return table_[h] - 1;
+        table_[slot] = fingerprint | static_cast<std::uint32_t>(++size_);
+        return static_cast<std::uint32_t>(size_ - 1);
       }
-      const std::uint32_t i = table_[h] - 1;
+      if ((entry & ~mask_) != fingerprint) continue;
+      const std::uint32_t i = (entry & mask_) - 1;
       if (std::equal(key, key + words_, this->key(i))) return i;
     }
   }
@@ -626,32 +653,31 @@ class StateSet {
   }
 
  private:
-  /// splitmix64's finalizer per word: every key bit reaches the low bits
-  /// the table index uses.
-  [[nodiscard]] std::size_t hash(const std::uint64_t* key) const {
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (std::size_t w = 0; w < words_; ++w) {
-      h = splitmix64_finalize(h ^ key[w]);
-    }
-    return static_cast<std::size_t>(h);
+  [[nodiscard]] std::uint32_t fingerprint_of(std::uint64_t h) const {
+    return static_cast<std::uint32_t>(h >> 32) & ~mask_;
   }
 
+  /// Doubles the table and re-enters the states in index order, so the
+  /// keys are read front to back.
   void grow() {
-    std::vector<std::uint32_t> old = std::move(table_);
-    table_.assign(std::max<std::size_t>(64, 2 * old.size()), 0);
-    const std::size_t mask = table_.size() - 1;
-    for (std::uint32_t entry : old) {
-      if (entry == 0) continue;
-      std::size_t h = hash(key(entry - 1)) & mask;
-      while (table_[h] != 0) h = (h + 1) & mask;
-      table_[h] = entry;
+    const std::size_t slots = std::max<std::size_t>(64, 2 * table_.size());
+    LBIST_CHECK(slots - 1 <= UINT32_MAX, "BIST DP level too large to index");
+    table_.assign(slots, 0);
+    mask_ = static_cast<std::uint32_t>(slots - 1);
+    for (std::size_t i = 0; i < size_; ++i) {
+      const std::uint64_t h = hash(key(i));
+      std::size_t slot = h & mask_;
+      while (table_[slot] != 0) slot = (slot + 1) & mask_;
+      table_[slot] = fingerprint_of(h) | static_cast<std::uint32_t>(i + 1);
     }
   }
 
   std::size_t words_;
   std::size_t size_ = 0;
   std::vector<std::uint64_t> keys_;
-  std::vector<std::uint32_t> table_;  ///< state index + 1; 0 = empty
+  /// Fingerprint | state index + 1; 0 = empty.
+  std::vector<std::uint32_t> table_;
+  std::uint32_t mask_ = 0;  ///< table_.size() - 1
 };
 
 /// How a DP state was reached: its state on the previous level and the
@@ -760,15 +786,30 @@ BistSolution BistAllocator::solve(const Datapath& dp,
 
   StateSet cur(words);
   StateSet next(words);
-  std::vector<std::uint64_t> key(words, 0);
-  cur.insert(key.data());
+  const std::vector<std::uint64_t> root(words, 0);
+  cur.reserve(1);
+  cur.insert(root.data(), cur.hash(root.data()));
   std::vector<Cost> cur_cost{Cost{}};
   std::vector<Cost> next_cost;
   st.peak_frontier = 1;
+  // An untestable module has no embedding; its states pass through.
+  auto choices_at = [&](std::size_t pos) {
+    return std::max<std::size_t>(moves[pd.order[pos]].size(), 1);
+  };
+  // One parent's children, built before any is inserted so that their
+  // table slots load while the others are built.
+  struct Child {
+    std::uint64_t hash = 0;
+    Cost cost;
+    Link link;
+  };
+  std::vector<std::uint64_t> child_keys;
+  std::vector<Child> children;
   for (std::size_t pos = 0; pos < nmods; ++pos) {
     const std::vector<Move>& mod_moves = moves[pd.order[pos]];
-    // An untestable module has no embedding; its states pass through.
-    const std::size_t choices = std::max<std::size_t>(mod_moves.size(), 1);
+    const std::size_t choices = choices_at(pos);
+    child_keys.resize(choices * words);
+    children.resize(choices);
     // Every state tries every move, so a level's transitions are known
     // before it runs: a level that would overrun the budget is not begun.
     const std::uint64_t level_transitions =
@@ -777,27 +818,37 @@ BistSolution BistAllocator::solve(const Datapath& dp,
       return fall_back();
     }
     st.transitions += level_transitions;
+    // States only join a level, so once it holds more than the next level
+    // can afford to expand, the check above is sure to fail there: give up
+    // now rather than finish a level that would be thrown away.
+    const std::uint64_t next_cap =
+        pos + 1 < nmods
+            ? (transition_budget - st.transitions) / choices_at(pos + 1)
+            : UINT64_MAX;
     std::vector<Link> links;
     next.clear();
     next_cost.clear();
     for (std::size_t p = 0; p < cur.size(); ++p) {
       const std::uint64_t* parent = cur.key(p);
+      next.reserve(choices);
+      std::size_t n = 0;
       for (std::size_t i = 0; i < choices; ++i) {
-        std::copy(parent, parent + words, key.begin());
+        std::uint64_t* child = &child_keys[n * words];
+        std::copy(parent, parent + words, child);
         Cost cost = cur_cost[p];
         Link link{static_cast<std::uint32_t>(p), kNoEmbedding};
         if (!mod_moves.empty()) {
           const Move& mv = mod_moves[i];
           for (std::size_t j = 0; j < mv.count; ++j) {
             const auto [slot, duty] = mv.touch[j];
-            const std::uint8_t before = flags_at(key.data(), slot);
+            const std::uint8_t before = flags_at(child, slot);
             const auto after = static_cast<std::uint8_t>(before | duty);
             cost.area += role_cost[after].area - role_cost[before].area;
             cost.cbilbos +=
                 role_cost[after].cbilbos - role_cost[before].cbilbos;
             cost.modified +=
                 role_cost[after].modified - role_cost[before].modified;
-            set_flags_at(key.data(), slot, after);
+            set_flags_at(child, slot, after);
           }
           // Admissible cut: completions only add flags, so `cost.area`
           // already bounds every descendant.  States matching the
@@ -807,11 +858,21 @@ BistSolution BistAllocator::solve(const Datapath& dp,
           link.embedding = mv.embedding;
         }
         for (std::uint32_t slot : pd.retire[pos]) {
-          set_flags_at(key.data(), slot, 0);
+          set_flags_at(child, slot, 0);
         }
+        const std::uint64_t hash = next.hash(child);
+        next.prefetch(hash);
+        children[n++] = Child{hash, cost, link};
+      }
+      for (std::size_t c = 0; c < n; ++c) {
+        const auto& [hash, cost, link] = children[c];
         const std::size_t fresh = next.size();
-        const std::uint32_t s = next.insert(key.data());
+        const std::uint32_t s = next.insert(&child_keys[c * words], hash);
         if (s == fresh) {
+          if (next.size() > next_cap) {
+            st.peak_frontier = std::max(st.peak_frontier, next.size());
+            return fall_back();
+          }
           next_cost.push_back(cost);
           links.push_back(link);
         } else if (cost < next_cost[s] ||

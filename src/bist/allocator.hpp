@@ -82,7 +82,9 @@ struct BistDpStats {
   /// Candidates the greedy scans examined: port-list entries walked by the
   /// separable scan, embeddings visited by the transparent-path scan.
   std::uint64_t greedy_candidates = 0;
-  std::size_t peak_frontier = 0;   ///< most states on one DP level
+  /// Most states on one DP level; an abandoned level counts the states
+  /// it held when it was abandoned.
+  std::size_t peak_frontier = 0;
   std::size_t live_max = 0;        ///< widest key, in live registers
   /// Why the greedy solver answered: "regs" (`exact_max_regs`), "budget"
   /// (`transition_budget`), or nullptr when the DP finished.
@@ -112,9 +114,11 @@ class BistAllocator {
   /// Work budget of the exact DP, in transitions generated: one per DP
   /// state and distinct embedding effect tried.  Counted, not timed, so
   /// whether a design solves exactly does not depend on the machine.  A
-  /// module level that would overrun it is not begun.  The default is over
-  /// twice the most any data path that solves exactly was measured to need
-  /// (docs/performance.md).
+  /// module level that would overrun it is not begun, and a level is
+  /// abandoned as soon as it holds more states than the next level could
+  /// expand within it; the transitions of an abandoned level still count.
+  /// The default is over twice the most any data path that solves exactly
+  /// was measured to need (docs/performance.md).
   std::uint64_t transition_budget = 10000000;
 
   /// Register-count cap for the exact DP.  The embedding lists are

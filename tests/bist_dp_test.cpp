@@ -12,21 +12,12 @@
 #include <string>
 
 #include "bist_reference_dp.hpp"
+#include "bist_solution_eq.hpp"
 #include "mid_range_designs.hpp"
+#include "obs/events.hpp"
 
 namespace lbist {
 namespace {
-
-bool same_embedding(const std::optional<BistEmbedding>& a,
-                    const std::optional<BistEmbedding>& b) {
-  if (a.has_value() != b.has_value()) return false;
-  if (!a.has_value()) return true;
-  return a->module == b->module && a->tpg_left == b->tpg_left &&
-         a->tpg_right == b->tpg_right && a->sa == b->sa &&
-         a->left_through == b->left_through &&
-         a->right_through == b->right_through &&
-         a->left_via == b->left_via && a->right_via == b->right_via;
-}
 
 struct Settings {
   AreaModel model{};
@@ -51,15 +42,7 @@ bool matches_reference(const Datapath& dp, const Settings& s,
   const BistSolution want = reference::solve_levels_dp(dp, s.model, opts);
   if (!want.exact) return false;
   EXPECT_TRUE(got.exact) << label;
-  EXPECT_EQ(got.extra_area, want.extra_area) << label;
-  EXPECT_TRUE(got.roles == want.roles) << label;
-  EXPECT_EQ(got.untestable_modules, want.untestable_modules) << label;
-  EXPECT_EQ(got.embeddings.size(), want.embeddings.size()) << label;
-  for (std::size_t m = 0;
-       m < std::min(got.embeddings.size(), want.embeddings.size()); ++m) {
-    EXPECT_TRUE(same_embedding(got.embeddings[m], want.embeddings[m]))
-        << label << " module " << m;
-  }
+  testing::expect_same_solution(got, want, label);
   return true;
 }
 
@@ -152,25 +135,72 @@ TEST(BistDpDifferential, MidRangeBistAware) {
   check_mid_range(BinderKind::BistAware, {"fir8", "fir16", "random6x3"});
 }
 
-TEST(BistDpDifferential, SeededRandomDatapaths) {
+/// The seeded random data paths and the settings each is solved under.
+constexpr int kSeededCases = 240;
+
+struct SeededCase {
+  Settings settings;
+  Datapath dp;
+};
+
+SeededCase seeded_case(int i) {
   // A role-area model that is not flag-monotone (a BILBO cheaper than a
   // TPG) turns branch-and-bound pruning off in both solvers.
   AreaModel non_monotone;
   non_monotone.bilbo_extra_per_bit = 1.0;
-  constexpr int kCases = 240;
+  Settings s;
+  s.transparent = i % 3 == 1;
+  s.minimize_sessions = i % 4 == 2;
+  const bool prune_off = i % 5 == 3;
+  if (prune_off) s.model = non_monotone;
+  return {s, random_datapath(static_cast<std::uint32_t>(1000 + i),
+                             prune_off ? 8 : 20, prune_off ? 4 : 8)};
+}
+
+TEST(BistDpDifferential, SeededRandomDatapaths) {
   int compared = 0;
-  for (int i = 0; i < kCases; ++i) {
-    Settings s;
-    s.transparent = i % 3 == 1;
-    s.minimize_sessions = i % 4 == 2;
-    const bool prune_off = i % 5 == 3;
-    if (prune_off) s.model = non_monotone;
-    const Datapath dp = random_datapath(static_cast<std::uint32_t>(1000 + i),
-                                        prune_off ? 8 : 20,
-                                        prune_off ? 4 : 8);
-    if (matches_reference(dp, s, dp.name)) ++compared;
+  for (int i = 0; i < kSeededCases; ++i) {
+    const SeededCase c = seeded_case(i);
+    if (matches_reference(c.dp, c.settings, c.dp.name)) ++compared;
   }
-  EXPECT_EQ(compared, kCases);
+  EXPECT_EQ(compared, kSeededCases);
+}
+
+TEST(BistDpBudget, SeededRandomDatapathsFallBackOneBelowTheirNeed) {
+  // Each path solves exactly at the transition count it needs, and one
+  // below it returns the greedy solution: the budget check and the
+  // abandonment of a level the next one could not afford decide alike.
+  for (int i = 0; i < kSeededCases; ++i) {
+    const auto [s, dp] = seeded_case(i);
+    BistAllocator alloc(s.model);
+    alloc.use_transparent_paths = s.transparent;
+    alloc.minimize_sessions = s.minimize_sessions;
+    BistDpStats need;
+    const BistSolution full = alloc.solve(dp, &need);
+    ASSERT_TRUE(full.exact) << dp.name;
+    ASSERT_GT(need.transitions, 0u) << dp.name;
+
+    alloc.transition_budget = need.transitions;
+    BistDpStats at;
+    const BistSolution exact = alloc.solve(dp, &at);
+    EXPECT_TRUE(exact.exact) << dp.name;
+    EXPECT_EQ(at.fallback, nullptr) << dp.name;
+    EXPECT_EQ(at.transitions, need.transitions) << dp.name;
+    testing::expect_same_solution(exact, full, dp.name);
+
+    alloc.transition_budget = need.transitions - 1;
+    AlgorithmEvents events;
+    alloc.events = &events;
+    BistDpStats below;
+    const BistSolution fallback = alloc.solve(dp, &below);
+    alloc.events = nullptr;
+    EXPECT_FALSE(fallback.exact) << dp.name;
+    EXPECT_STREQ(below.fallback, "budget") << dp.name;
+    EXPECT_LT(below.transitions, need.transitions) << dp.name;
+    EXPECT_EQ(events.count("bist_greedy_fallback"), 1u) << dp.name;
+    testing::expect_same_solution(fallback, alloc.solve_greedy(dp),
+                                  dp.name);
+  }
 }
 
 }  // namespace

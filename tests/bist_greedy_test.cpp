@@ -12,21 +12,11 @@
 #include <string>
 
 #include "bist_reference_greedy.hpp"
+#include "bist_solution_eq.hpp"
 #include "mid_range_designs.hpp"
 
 namespace lbist {
 namespace {
-
-bool same_embedding(const std::optional<BistEmbedding>& a,
-                    const std::optional<BistEmbedding>& b) {
-  if (a.has_value() != b.has_value()) return false;
-  if (!a.has_value()) return true;
-  return a->module == b->module && a->tpg_left == b->tpg_left &&
-         a->tpg_right == b->tpg_right && a->sa == b->sa &&
-         a->left_through == b->left_through &&
-         a->right_through == b->right_through &&
-         a->left_via == b->left_via && a->right_via == b->right_via;
-}
 
 void expect_matches_reference(const Datapath& dp, const AreaModel& model,
                               bool transparent, const std::string& label) {
@@ -37,14 +27,7 @@ void expect_matches_reference(const Datapath& dp, const AreaModel& model,
   const BistSolution want =
       reference::solve_streaming_greedy(dp, model, transparent);
   EXPECT_FALSE(got.exact) << label;
-  EXPECT_EQ(got.extra_area, want.extra_area) << label;
-  EXPECT_TRUE(got.roles == want.roles) << label;
-  EXPECT_EQ(got.untestable_modules, want.untestable_modules) << label;
-  ASSERT_EQ(got.embeddings.size(), want.embeddings.size()) << label;
-  for (std::size_t m = 0; m < got.embeddings.size(); ++m) {
-    EXPECT_TRUE(same_embedding(got.embeddings[m], want.embeddings[m]))
-        << label << " module " << m;
-  }
+  testing::expect_same_solution(got, want, label);
   if (!dp.modules.empty()) {
     EXPECT_GT(stats.greedy_candidates, 0u) << label;
   }

@@ -8,6 +8,7 @@
 #include "bist/roles.hpp"
 #include "bist/sessions.hpp"
 #include "bist_reference_dp.hpp"
+#include "bist_solution_eq.hpp"
 #include "mid_range_designs.hpp"
 #include "obs/events.hpp"
 
@@ -287,6 +288,64 @@ TEST(Allocator, ExhaustedBudgetFallsBackToGreedyOnce) {
   EXPECT_STREQ(stats.fallback, "budget");
   // The first level needs 2 transitions, so it is not begun.
   EXPECT_EQ(stats.transitions, 0u);
+}
+
+TEST(Allocator, BudgetBoundaryKeepsTheFallbackDecision) {
+  // random8x4/bist needs exactly 687,212 transitions.
+  const Datapath dp =
+      testing::random_mid_datapath(8, 4, BinderKind::BistAware);
+  BistAllocator alloc{AreaModel{}};
+  alloc.transition_budget = 687212;
+  BistDpStats stats;
+  const BistSolution sol = alloc.solve(dp, &stats);
+  EXPECT_TRUE(sol.exact);
+  EXPECT_EQ(stats.fallback, nullptr);
+  EXPECT_EQ(stats.transitions, 687212u);
+
+  alloc.transition_budget = 687211;
+  AlgorithmEvents events;
+  alloc.events = &events;
+  const BistSolution fallback = alloc.solve(dp, &stats);
+  alloc.events = nullptr;
+  EXPECT_FALSE(fallback.exact);
+  EXPECT_STREQ(stats.fallback, "budget");
+  EXPECT_EQ(events.count("bist_greedy_fallback"), 1u);
+  testing::expect_same_solution(fallback, alloc.solve_greedy(dp),
+                                "random8x4/bist");
+}
+
+TEST(Allocator, MidRangeFallbacksPinTheirWork) {
+  // The four `mid-exact` allocations that overrun the default budget.
+  // `transitions` counts every level begun, the abandoned one included;
+  // `peak_frontier` is what the abandoned level held when the next level
+  // could no longer afford it.  Building that level in full would peak
+  // at 388,770 / 506,220 / 723,509 / 893,562 states.
+  struct Arm {
+    int steps;
+    int width;
+    BinderKind binder;
+    std::uint64_t transitions;
+    std::size_t peak_frontier;
+  };
+  for (const Arm& arm : {Arm{10, 5, BinderKind::Traditional, 1282612, 145290},
+                         Arm{12, 6, BinderKind::Traditional, 681344, 64713},
+                         Arm{10, 5, BinderKind::BistAware, 3999087, 100016},
+                         Arm{12, 6, BinderKind::BistAware, 1145958, 110676}}) {
+    const Datapath dp =
+        testing::random_mid_datapath(arm.steps, arm.width, arm.binder);
+    const std::string label = "random" + std::to_string(arm.steps) + "x" +
+                              std::to_string(arm.width) + "/" +
+                              (arm.binder == BinderKind::BistAware ? "bist"
+                                                                   : "trad");
+    const BistAllocator alloc{AreaModel{}};
+    BistDpStats stats;
+    const BistSolution sol = alloc.solve(dp, &stats);
+    EXPECT_FALSE(sol.exact) << label;
+    EXPECT_STREQ(stats.fallback, "budget") << label;
+    EXPECT_EQ(stats.transitions, arm.transitions) << label;
+    EXPECT_EQ(stats.peak_frontier, arm.peak_frontier) << label;
+    testing::expect_same_solution(sol, alloc.solve_greedy(dp), label);
+  }
 }
 
 TEST(Allocator, RegisterGateReportsFallback) {
